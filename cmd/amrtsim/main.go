@@ -1,7 +1,7 @@
 // Command amrtsim runs one simulation of a receiver-driven transport on
 // a datacenter fabric — leaf-spine, k-ary fat-tree, or oversubscribed
 // Clos (-topo, grammar in docs/TOPOLOGIES.md) — and prints the results,
-// optionally comparing all four protocols on identical traffic. Beyond
+// optionally comparing the whole comparison set on identical traffic. Beyond
 // the paper's open-loop Poisson arrivals, -pattern selects incast,
 // shuffle, or deadline-RPC traffic. The `sweep` subcommand runs a whole
 // parameter campaign — protocols × workloads × topologies × degrees ×

@@ -155,6 +155,23 @@ func specToSweep(raw json.RawMessage, pol servePolicy) (amrt.SweepConfig, error)
 	return sc, nil
 }
 
+// The daemon's HTTP read limits, fixed rather than flags: a client gets
+// readHeaderTimeout to send its request headers, so a slow-header client
+// cannot hold a connection forever, and readTimeout to send the whole
+// request, job spec included. Neither cuts a long-lived
+// GET /jobs/{id}/watch NDJSON stream — net/http clears the read deadline
+// once the request is read — but a write deadline would, so the server
+// sets no WriteTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
+// newHTTPServer serves h with the daemon's read limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
+
 // serveMain implements `amrtsim serve`: the resilient campaign daemon.
 // It journals every job to a ledger under -state, shares one result
 // cache across jobs, retries and quarantines failing cells per the
@@ -232,7 +249,7 @@ func serveMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "amrtsim serve: %v\n", err)
 		return 2
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Fprintf(os.Stderr, "amrtsim serve: listening on %s (state %s, %d job workers)\n",
 		ln.Addr(), *stateDir, *jobWorkers)
 

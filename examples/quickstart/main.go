@@ -1,5 +1,5 @@
-// Quickstart: run the same WebSearch traffic under all four
-// receiver-driven transports on a small leaf-spine fabric and compare
+// Quickstart: run the same WebSearch traffic under every receiver-driven
+// transport of the comparison set on a small leaf-spine fabric and compare
 // flow completion times and bottleneck utilization.
 //
 //	go run ./examples/quickstart
@@ -42,7 +42,7 @@ func main() {
 		log.Fatalf("compare: %v", err)
 	}
 	fmt.Printf("%-8s %12s %12s %8s %8s\n", "proto", "AFCT", "p99 FCT", "util", "drops")
-	for _, r := range results { // already in paper order: pHost, Homa, NDP, AMRT
+	for _, r := range results { // already in presentation order: pHost, Homa, NDP, AMRT, SIRD
 		fmt.Printf("%-8s %12v %12v %8.3f %8d\n",
 			r.Protocol, r.AFCT.Round(time.Microsecond), r.P99.Round(time.Microsecond), r.Utilization, r.Drops)
 	}

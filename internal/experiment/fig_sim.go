@@ -16,8 +16,8 @@ type FCTCell struct {
 }
 
 // Fig12Cells reproduces Fig. 12: average and 99th-percentile FCT under
-// the five realistic workloads with increasing load, for all four
-// protocols. All protocols see byte-identical flow sequences.
+// the five realistic workloads with increasing load, for every protocol
+// in cfg.Protocols. All protocols see byte-identical flow sequences.
 func Fig12Cells(cfg SimConfig) []FCTCell {
 	type spec struct {
 		w    *workload.Empirical

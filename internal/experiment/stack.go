@@ -18,11 +18,12 @@ import (
 	"amrt/internal/transport"
 )
 
-// Instance is the protocol surface the harness drives; all four
-// implementations satisfy it. The runner creates one instance per
-// engine shard: a flow's sender side lives on its source's instance
-// (AddFlow / AddPending), its receiver side on its destination's
-// (Adopt), and the two coincide on single-shard runs.
+// Instance is the protocol surface the harness drives; every registered
+// stack satisfies it, the flow lifecycle coming from the embedded
+// transport.Kernel. The runner creates one instance per engine shard: a
+// flow's sender side lives on its source's instance (AddFlow /
+// AddPending), its receiver side on its destination's (Adopt), and the
+// two coincide on single-shard runs.
 type Instance interface {
 	Name() string
 	AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow
@@ -40,17 +41,12 @@ type Instance interface {
 	// transport.Kernel provides it); the runner's watchdog, crash
 	// wiring, and outcome report iterate it for determinism.
 	OrderedFlows() []*transport.Flow
-}
-
-// CrashHandler is implemented by stacks that react to node-level fault
-// domains: OnHostCrash fires at the instant a host loses power (all
-// protocol state on it is gone), OnHostRestart when it comes back. The
-// runner wires these into the fault plan's hooks; a stack that does not
-// implement the interface silently ignores crashes, which under the
-// auditor shows up as stalled flows.
-type CrashHandler interface {
+	// OnHostCrash fires at the instant a host loses power: the instance
+	// drops the slice of the host's protocol state it owns. Nothing
+	// happens at restart — receiver-driven flows are rebuilt by their
+	// senders' re-announce chains, and crashed DCTCP connections stay
+	// dead.
 	OnHostCrash(h *netsim.Host)
-	OnHostRestart(h *netsim.Host)
 }
 
 // Stack bundles everything needed to put one protocol on a topology:

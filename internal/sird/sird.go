@@ -99,7 +99,6 @@ type Protocol struct {
 	senders   map[netsim.FlowID]*sender
 	receivers map[netsim.FlowID]*rcvFlow
 	pools     map[netsim.NodeID]*poolState
-	installed map[netsim.NodeID]bool
 
 	// GrantsSent counts pool grant packets; GrantedPkts counts packets
 	// authorized by them (1:1 for SIRD's paced single-MSS grants).
@@ -108,8 +107,6 @@ type Protocol struct {
 	// ResendGrants counts per-sequence resend requests issued by the
 	// timeout path, each authorizing one retransmission.
 	ResendGrants int64
-	// RTSReannounces counts sender-side RTS re-sends (armAnnounce).
-	RTSReannounces int64
 	// PoolReclaims counts timeout-driven reclaims of charged credit
 	// from silent flows back into their receiver's pool.
 	PoolReclaims int64
@@ -164,39 +161,12 @@ type rcvFlow struct {
 	// trickle of events instead of a per-RTT scan forever.
 	backoff sim.Time
 
-	// snapshots ring-buffers (time, granted) pairs taken at each
-	// timeout check, so the recovery scan can tell which holes were
-	// authorized long enough ago to declare lost — without timestamping
-	// every grant. reissuedAt remembers when each hole's resend grant
-	// went out, so a retransmission still plausibly in flight is not
-	// duplicated.
-	snapshots  [8]grantSnapshot
-	snapHead   int
+	// ages records the granted count at each timeout check, dating the
+	// holes the recovery scan may declare lost. reissuedAt remembers
+	// when each hole's resend grant went out, so a retransmission still
+	// plausibly in flight is not duplicated.
+	ages       transport.GrantAges
 	reissuedAt map[int32]sim.Time
-}
-
-type grantSnapshot struct {
-	at      sim.Time
-	granted int32
-	valid   bool
-}
-
-// grantedBefore returns the granted count at the newest snapshot older
-// than cutoff (0 if none is old enough).
-func (r *rcvFlow) grantedBefore(cutoff sim.Time) int32 {
-	best := int32(0)
-	bestAt := sim.Time(-1)
-	for _, s := range r.snapshots {
-		if s.valid && s.at <= cutoff && s.at > bestAt {
-			best, bestAt = s.granted, s.at
-		}
-	}
-	return best
-}
-
-func (r *rcvFlow) snapshot(now sim.Time) {
-	r.snapshots[r.snapHead] = grantSnapshot{at: now, granted: r.granted, valid: true}
-	r.snapHead = (r.snapHead + 1) % len(r.snapshots)
 }
 
 // silenceEvidence is how many unanswered grants it takes before a
@@ -251,7 +221,14 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 		senders:   make(map[netsim.FlowID]*sender),
 		receivers: make(map[netsim.FlowID]*rcvFlow),
 		pools:     make(map[netsim.NodeID]*poolState),
-		installed: make(map[netsim.NodeID]bool),
+	}
+	p.Hooks = transport.Hooks{
+		ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt,
+		Start:          p.startFlow,
+		ReceiverDriven: true,
+		RTSDemand:      p.rtsDemand,
+		DropReceiver:   p.dropRcvState,
+		DropSender:     func(f *transport.Flow) { delete(p.senders, f.ID) },
 	}
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc("sird.grants_sent", func() int64 { return p.GrantsSent })
@@ -265,71 +242,21 @@ func New(net *netsim.Network, cfg Config) *Protocol {
 // Name identifies the protocol in reports.
 func (p *Protocol) Name() string { return "SIRD" }
 
-// AddFlow registers a flow on both endpoints of this instance and
-// schedules its start — the single-instance convenience path. The
-// sharded runner instead splits registration across instances with
-// AddPending/Release on the source shard and Adopt on the home shard.
-func (p *Protocol) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, start)
-	f.Released = true
-	p.install(src)
-	p.install(dst)
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-	return f
-}
-
-// AddUnresponsiveFlow registers a flow that announces itself (with its
-// full size as demand) but never sends data; until the silence test
-// trips it draws a few grants' worth of pool credit, which the timeout
-// path then reclaims.
-func (p *Protocol) AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	f := p.AddFlow(id, src, dst, size, start)
-	f.Unresponsive = true
-	return f
-}
-
-// AddPending registers a dependent flow's sender side without
-// scheduling a start; Release starts it when the parent completes.
-func (p *Protocol) AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow {
-	f := p.NewFlow(id, src, dst, size, 0)
-	f.Unresponsive = unresponsive
-	p.install(src)
-	return f
-}
-
-// Release schedules a pending flow's start (the home shard writes
-// f.Start when it handles the release signal).
-func (p *Protocol) Release(f *transport.Flow, start sim.Time) {
-	p.Engine().ScheduleAt(start, func() { p.startFlow(f) })
-}
-
-// Adopt registers a flow created by another instance on this instance's
-// receiver side.
-func (p *Protocol) Adopt(f *transport.Flow) {
-	p.Register(f)
-	p.install(f.Dst)
-}
-
-func (p *Protocol) install(h *netsim.Host) {
-	if p.installed[h.ID()] {
-		return
+// rtsDemand is the backlog advertised on every RTS: the sender record's
+// demand, or the whole flow before the record exists (the first RTS, and
+// every RTS of an unresponsive flow).
+func (p *Protocol) rtsDemand(f *transport.Flow) int64 {
+	if s := p.senders[f.ID]; s != nil {
+		return s.demand(p.Cfg.MSS)
 	}
-	p.installed[h.ID()] = true
-	transport.Dispatcher{Kernel: &p.Kernel, ToSender: p.onSenderPkt, ToReceiver: p.onReceiverPkt}.Install(h)
+	return f.Size
 }
 
+// startFlow sends the unscheduled window at high priority, demand
+// piggybacked.
 func (p *Protocol) startFlow(f *transport.Flow) {
-	f.SenderStarted = true
 	s := &sender{f: f}
 	p.senders[f.ID] = s
-	rts := p.NewCtrl(netsim.RTS, f, -1, false)
-	rts.Demand = f.Size // nothing handed to the NIC yet
-	f.Src.Send(rts)
-	p.armAnnounce(f, 3*p.Cfg.RTT)
-	if f.Unresponsive {
-		return
-	}
-	// Unscheduled window at high priority, demand piggybacked.
 	blind := p.BlindPkts(f)
 	for ; s.next < blind; s.next++ {
 		pkt := p.NewData(f, s.next, netsim.PrioHigh)
@@ -370,45 +297,6 @@ func (p *Protocol) CreditLedger() (outstanding, bound int64) {
 	return outstanding, bound
 }
 
-// OnHostCrash drops the protocol state this instance owns for flows
-// touching the crashed host. A crashed sender kills its outgoing flows
-// and returns their charged credit to the pool; a crashed receiver
-// loses bitmaps, demand state, and the pool itself — those flows
-// survive and are rebuilt by the sender's RTS re-announce after
-// restart. On a sharded run the hook fires on every shard; each
-// instance handles only the flow halves its shard owns (pool and
-// receiver state live on the home shard).
-func (p *Protocol) OnHostCrash(h *netsim.Host) {
-	for _, f := range p.OrderedFlows() {
-		switch h {
-		case f.Src:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-				p.Abort(f)
-			}
-			if p.OwnsSender(f) && !f.SenderDone {
-				delete(p.senders, f.ID)
-				// The flow can never finish; stop the announce chain.
-				f.SenderDone = true
-			}
-		case f.Dst:
-			if p.OwnsReceiver(f) && !f.Done {
-				p.dropRcvState(f)
-			}
-			if p.OwnsSender(f) && f.SenderStarted && !f.SenderDone {
-				// Clear the sender-side flag so re-announcement resumes.
-				f.SenderHeard = false
-				p.armAnnounce(f, 3*p.Cfg.RTT)
-			}
-		}
-	}
-}
-
-// OnHostRestart is a no-op for SIRD: surviving flows towards the host
-// are re-announced by the sender-side armAnnounce chain, which rebuilds
-// receiver and pool state from scratch.
-func (p *Protocol) OnHostRestart(h *netsim.Host) {}
-
 // dropRcvState forgets flow f's receiver state: timer cancelled, pool
 // membership pruned, charged credit returned. No-op if no state exists.
 func (p *Protocol) dropRcvState(f *transport.Flow) {
@@ -424,41 +312,8 @@ func (p *Protocol) dropRcvState(f *transport.Flow) {
 	}
 	ps.outstanding -= r.charged
 	r.charged = 0
-	keep := ps.flows[:0]
-	for _, x := range ps.flows {
-		if x != r {
-			keep = append(keep, x)
-		}
-	}
-	ps.flows = keep
+	ps.flows = transport.Without(ps.flows, r)
 	ps.pacer.Kick()
-}
-
-// armAnnounce re-sends the flow's RTS with exponential backoff (3×RTT
-// initial, 64×RTT cap) until receiver state exists. If the RTS and the
-// whole unscheduled window are lost, no rcvFlow is ever created, so the
-// pool never learns the flow exists; the sender must keep announcing.
-// Self-cancels once a grant reaches the sender (SenderHeard — the
-// receiver's timeout machinery then owns recovery) or the completion
-// signal does (SenderDone); both flags are sender-shard state.
-func (p *Protocol) armAnnounce(f *transport.Flow, interval sim.Time) {
-	p.Engine().Schedule(interval, func() {
-		if f.SenderHeard || f.SenderDone {
-			return
-		}
-		s := p.senders[f.ID]
-		rts := p.NewCtrl(netsim.RTS, f, -1, false)
-		if s != nil {
-			rts.Demand = s.demand(p.Cfg.MSS)
-		}
-		f.Src.Send(rts)
-		p.RTSReannounces++
-		next := interval * 2
-		if max := 64 * p.Cfg.RTT; next > max {
-			next = max
-		}
-		p.armAnnounce(f, next)
-	})
 }
 
 func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
@@ -466,7 +321,7 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 		return
 	}
 	s := p.senders[pkt.Flow]
-	if s == nil || s.f.Unresponsive {
+	if s == nil { // not started, unresponsive, or its source crashed
 		return
 	}
 	if pkt.Seq >= 0 {
@@ -562,14 +417,11 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 		granted: blind, lastArrival: now, lastProgress: now,
 		reissuedAt: make(map[int32]sim.Time),
 	}
-	// Seed the grant-age ring so the unscheduled prefix (authorized at
-	// flow start) becomes recoverable one timeout window from now.
-	r.snapshot(now)
+	// Seed the grant ages so the unscheduled prefix (authorized at flow
+	// start) becomes recoverable one timeout window from now.
+	r.ages.Record(now, r.granted)
 	p.receivers[pkt.Flow] = r
-	// Announce confirmation (see core/amrt.receiverFor): stop the
-	// sender's re-announce timer without waiting for the first grant.
-	f2 := f
-	p.Shard().Signal(f.Dst, f.Src, func() { f2.SenderHeard = true })
+	p.ConfirmAnnounce(f)
 	ps := p.poolOf(f.Dst)
 	ps.flows = append(ps.flows, r)
 	ps.pacer.Kick()
@@ -665,11 +517,7 @@ func (p *Protocol) emitGrant(ps *poolState) bool {
 }
 
 func (p *Protocol) armTimeout(r *rcvFlow) {
-	interval := p.Cfg.RTT
-	if r.backoff > interval {
-		interval = r.backoff
-	}
-	r.timer = p.Engine().Schedule(interval, func() { p.onTimeout(r) })
+	r.timer = p.Engine().Schedule(max(p.Cfg.RTT, r.backoff), func() { p.onTimeout(r) })
 }
 
 // onTimeout is the per-flow recovery check, run every RTT (backing off
@@ -689,7 +537,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 	}
 	now := p.Now()
 	window := sim.Time(p.cfg.TimeoutRTTs) * p.Cfg.RTT
-	overdue := r.grantedBefore(now - window)
+	overdue := r.ages.Before(now - window)
 	cap := p.BDPPkts(r.f.Dst.LinkRate())
 	ps := p.poolOf(r.f.Dst)
 	issued := 0
@@ -715,16 +563,11 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 			ps.pacer.Kick()
 		}
 		// No arrival since the last check: back off (reset on data).
-		if r.backoff < 64*p.Cfg.RTT {
-			if r.backoff == 0 {
-				r.backoff = p.Cfg.RTT
-			}
-			r.backoff *= 2
-		}
+		r.backoff = p.Backoff(r.backoff, p.Cfg.RTT)
 	} else {
 		r.backoff = 0
 	}
-	r.snapshot(now)
+	r.ages.Record(now, r.granted)
 	p.armTimeout(r)
 }
 
@@ -736,12 +579,6 @@ func (p *Protocol) finish(r *rcvFlow) {
 	// remainder and hand the credit to the next flow.
 	ps.outstanding -= r.charged
 	r.charged = 0
-	keep := ps.flows[:0]
-	for _, x := range ps.flows {
-		if x != r {
-			keep = append(keep, x)
-		}
-	}
-	ps.flows = keep
+	ps.flows = transport.Without(ps.flows, r)
 	ps.pacer.Kick()
 }

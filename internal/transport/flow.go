@@ -1,6 +1,8 @@
-// Package transport provides the machinery shared by all four
-// receiver-driven protocol implementations (pHost, Homa, NDP, AMRT):
-// flow bookkeeping, packetization, the per-host packet dispatcher,
+// Package transport provides the machinery shared by every protocol
+// stack — the five receiver-driven ones (pHost, Homa, NDP, AMRT, SIRD)
+// and the sender-driven DCTCP baseline: flow bookkeeping and lifecycle,
+// the RTS announce chain and host-crash sweep of the receiver-driven
+// stacks, packetization, the per-host packet dispatcher,
 // received-sequence bitmaps, and completion recording.
 package transport
 

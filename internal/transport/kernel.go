@@ -53,11 +53,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Kernel is the state every protocol embeds: the network, the shared
-// config, the flow table, and the per-host dispatcher.
+// config, the flow table, the per-host dispatcher, and the flow
+// lifecycle (lifecycle.go) driven by the stack's Hooks.
 type Kernel struct {
 	Net   *netsim.Network
 	Cfg   Config
 	Flows map[netsim.FlowID]*Flow
+	// Hooks is what the stack plugs into the lifecycle; the stack sets
+	// it once, right after NewKernel.
+	Hooks Hooks
 
 	// ordered lists flows in creation order. Anything that iterates
 	// flows and schedules events (crash handling, the liveness watchdog,
@@ -66,6 +70,8 @@ type Kernel struct {
 	ordered []*Flow
 
 	nextAutoID netsim.FlowID
+	// installed records the hosts carrying this stack's dispatcher.
+	installed map[netsim.NodeID]bool
 
 	// DataPktsBuilt counts data packets built via NewData — the
 	// left-hand side of the grant-budget invariant. UnsolicitedPkts
@@ -74,6 +80,9 @@ type Kernel struct {
 	// themselves at each ungranted send.
 	DataPktsBuilt   int64
 	UnsolicitedPkts int64
+	// RTSReannounces counts the RTS re-sends of the announce chain
+	// (lifecycle.go); each stack publishes it under its own metric name.
+	RTSReannounces int64
 
 	// shard is the engine shard the kernel schedules on (see Config.Shard).
 	shard *netsim.Shard
@@ -91,7 +100,10 @@ func NewKernel(net *netsim.Network, cfg Config) Kernel {
 	if sh == nil {
 		sh = net.Shard(0)
 	}
-	k := Kernel{Net: net, Cfg: cfg.withDefaults(), Flows: make(map[netsim.FlowID]*Flow), shard: sh}
+	k := Kernel{
+		Net: net, Cfg: cfg.withDefaults(), Flows: make(map[netsim.FlowID]*Flow),
+		installed: make(map[netsim.NodeID]bool), shard: sh,
+	}
 	k.mFlowsStarted = cfg.Metrics.Counter("transport.flows_started")
 	k.mFlowsDone = cfg.Metrics.Counter("transport.flows_completed")
 	k.mDataBytes = cfg.Metrics.Counter("transport.data_bytes_delivered")
@@ -197,6 +209,18 @@ func (k *Kernel) BlindPkts(f *Flow) int32 {
 		return f.NPkts
 	}
 	return int32(w)
+}
+
+// SendBlind sends flow f's unsolicited first window (BlindPkts packets
+// from seq 0) at priority prio, counts it as unsolicited, and returns
+// its length — the next unsent sequence.
+func (k *Kernel) SendBlind(f *Flow, prio uint8) int32 {
+	blind := k.BlindPkts(f)
+	for seq := int32(0); seq < blind; seq++ {
+		f.Src.Send(k.NewData(f, seq, prio))
+	}
+	k.UnsolicitedPkts += int64(blind)
+	return blind
 }
 
 // NewData builds data packet seq of flow f. CE starts true: the
