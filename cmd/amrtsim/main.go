@@ -33,12 +33,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"amrt"
 	"amrt/internal/faults"
-	"amrt/internal/sim"
 )
 
 func main() {
@@ -79,7 +77,6 @@ func main() {
 		faultSpec   = flag.String("faults", "", "fault-injection spec, e.g. 'link=leaf0->spine1,down=5ms,up=8ms;ctrl-loss=0.01' (grammar in docs/FAULTS.md)")
 		auditFlag   = flag.Bool("audit", false, "attach the runtime invariant auditor: conservation/queue-bound/grant-budget checks every metrics interval, panicking with a forensic dump on the first violation")
 		shards      = flag.Int("shards", 0, "engine shards for parallel execution (0 or 1 = single engine; results are byte-identical at every count, see docs/PARALLELISM.md)")
-		schedName   = flag.String("sched", "wheel", "event scheduler: wheel|heap (heap is the reference implementation; results are identical)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
@@ -89,12 +86,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "amrtsim: invalid -faults: %v\n", err)
 		os.Exit(2)
 	}
-	kind, err := sim.ParseSchedulerKind(*schedName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "amrtsim: %v\n", err)
-		os.Exit(2)
-	}
-	sim.SetDefaultScheduler(kind)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -165,15 +156,15 @@ func main() {
 	}
 
 	if *compare {
-		results := amrt.Compare(cfg)
-		names := amrt.Protocols()
-		sort.SliceStable(names, func(i, j int) bool { return i < j })
+		results, err := amrt.CompareContext(context.Background(), cfg)
+		if err != nil {
+			fail(err)
+		}
 		fmt.Printf("workload=%s load=%.2f flows=%d\n", *wl, *load, *flows)
 		fmt.Printf("%-8s %12s %12s %8s %10s %8s\n", "proto", "AFCT", "p99", "util", "done", "drops")
-		for _, name := range names {
-			r := results[name]
+		for _, r := range results {
 			fmt.Printf("%-8s %12v %12v %8.3f %6d/%-4d %8d\n",
-				name, round(r.AFCT), round(r.P99), r.Utilization, r.Completed, r.Total, r.Drops)
+				r.Protocol, round(r.AFCT), round(r.P99), r.Utilization, r.Completed, r.Total, r.Drops)
 		}
 		return
 	}
@@ -181,15 +172,7 @@ func main() {
 	start := time.Now()
 	r, err := amrt.RunContext(context.Background(), cfg)
 	if err != nil {
-		// Config mistakes (unknown protocol, malformed fault spec, a
-		// fault naming a link the topology doesn't have) are user input
-		// here, not programmer error: report and exit instead of
-		// panicking like the library's Run wrapper.
-		fmt.Fprintf(os.Stderr, "amrtsim: %v\n", err)
-		if errors.Is(err, amrt.ErrBadFaultSpec) {
-			fmt.Fprintln(os.Stderr, "amrtsim: see docs/FAULTS.md for the -faults grammar and the link names the topology defines")
-		}
-		os.Exit(1)
+		fail(err)
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("protocol:    %s\n", r.Protocol)
@@ -212,6 +195,17 @@ func main() {
 	if incomplete := r.Total - r.Completed - r.Killed; incomplete > 0 {
 		fmt.Fprintf(os.Stderr, "warning: %d flows did not complete before the horizon\n", incomplete)
 	}
+}
+
+// fail reports a run error and exits 1. Config mistakes (unknown
+// protocol or workload, malformed fault spec, a fault naming a link the
+// topology doesn't have) are user input here, not programmer error.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "amrtsim: %v\n", err)
+	if errors.Is(err, amrt.ErrBadFaultSpec) {
+		fmt.Fprintln(os.Stderr, "amrtsim: see docs/FAULTS.md for the -faults grammar and the link names the topology defines")
+	}
+	os.Exit(1)
 }
 
 func round(d time.Duration) time.Duration { return d.Round(time.Microsecond) }

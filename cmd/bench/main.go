@@ -10,7 +10,6 @@
 //
 //	bench                          # run all cases, write BENCH_<today>.json, compare
 //	bench -cases 'Fig09|Throughput'
-//	bench -sched heap              # A/B the scheduler implementations
 //	bench -threshold 0.05 -strict  # exit non-zero on regression
 //	bench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	bench -lint                    # godoc/lint pass over the core packages
@@ -62,7 +61,6 @@ func main() {
 		strict     = flag.Bool("strict", false, "exit non-zero if any case regresses beyond -threshold")
 		cases      = flag.String("cases", "", "regexp selecting case names (default: all)")
 		list       = flag.Bool("list", false, "list case names and exit")
-		sched      = flag.String("sched", "wheel", "event scheduler: wheel|heap")
 		date       = flag.String("date", "", "date stamp for the output file (default: today, YYYY-MM-DD)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
@@ -81,12 +79,6 @@ func main() {
 		}
 		os.Exit(code)
 	}
-
-	kind, err := sim.ParseSchedulerKind(*sched)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sim.SetDefaultScheduler(kind)
 
 	all := benchcases.All()
 	if *cases != "" {
@@ -123,7 +115,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	file := benchFile{Date: *date, Go: runtime.Version(), Scheduler: kind.String(), CPUs: runtime.GOMAXPROCS(0)}
+	file := benchFile{Date: *date, Go: runtime.Version(), Scheduler: sim.DefaultScheduler().String(), CPUs: runtime.GOMAXPROCS(0)}
 	if file.Date == "" {
 		file.Date = time.Now().Format("2006-01-02")
 	}

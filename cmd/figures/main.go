@@ -51,7 +51,6 @@ func main() {
 		metricsIvl = flag.Duration("metrics-interval", 100*time.Microsecond, "telemetry sampling period in virtual time")
 		faultSpec  = flag.String("faults", "", "fault-injection spec applied to every figure-12/13 run (grammar in docs/FAULTS.md)")
 		shards     = flag.Int("shards", 0, "engine shards per figure simulation (0 or 1 = single engine; results are byte-identical at every count, see docs/PARALLELISM.md)")
-		schedName  = flag.String("sched", "wheel", "event scheduler: wheel|heap (heap is the reference implementation; results are identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
@@ -61,12 +60,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: invalid -faults: %v\n", err)
 		os.Exit(2)
 	}
-	kind, err := sim.ParseSchedulerKind(*schedName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(2)
-	}
-	sim.SetDefaultScheduler(kind)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -136,13 +129,13 @@ func main() {
 func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvDir string, plot bool) {
 	stackOr := func(def string) experiment.Stack {
 		if proto != "" {
-			return experiment.MustStack(proto, experiment.StackOptions{})
+			def = proto
 		}
 		return experiment.MustStack(def, experiment.StackOptions{})
 	}
 	switch fig {
 	case "1":
-		res := experiment.Fig1(stackOr("pHost"))
+		res := experiment.Fig1(stackOr("pHost"), cfg.Shards)
 		res.Phases.Fprint(os.Stdout)
 		if plot {
 			fmt.Println(stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "bottleneck-0 goodput utilization"}, res.Util))
@@ -153,7 +146,7 @@ func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvD
 			dumpSeries(csvDir, "fig1_"+res.Stack+"_"+s.Name, s)
 		}
 	case "2":
-		res := experiment.Fig2(stackOr("pHost"))
+		res := experiment.Fig2(stackOr("pHost"), cfg.Shards)
 		res.Phases.Fprint(os.Stdout)
 		if plot {
 			fmt.Println(stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "bottleneck goodput utilization"}, res.Util))
@@ -172,7 +165,7 @@ func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvD
 			dumpTable(csvDir, t)
 		}
 	case "9":
-		res := experiment.Fig9(stackOr("AMRT"))
+		res := experiment.Fig9(stackOr("AMRT"), cfg.Shards)
 		res.Summary.Fprint(os.Stdout)
 		if plot {
 			fmt.Println(stats.RenderASCII(stats.PlotOptions{YMax: 1.1, YLabel: "normalized throughput"}, res.Series...))
@@ -181,7 +174,7 @@ func runFigure(fig string, cfg experiment.SimConfig, proto, counts, ratios, csvD
 			dumpSeries(csvDir, "fig9_"+res.Stack+"_"+s.Name, s)
 		}
 	case "11":
-		results, cmp := experiment.Fig11All()
+		results, cmp := experiment.Fig11All(cfg.Shards)
 		for _, r := range results {
 			r.Summary.Fprint(os.Stdout)
 			if plot {

@@ -18,7 +18,7 @@ func main() {
 	fmt.Println("§2.2 dynamic traffic: 4 flows (625KB..2.5MB), one 10G bottleneck")
 	fmt.Println()
 	for _, proto := range experiment.ProtocolNames() {
-		res := experiment.Fig2(experiment.MustStack(proto, experiment.StackOptions{}))
+		res := experiment.Fig2(experiment.MustStack(proto, experiment.StackOptions{}), 1)
 		res.Phases.Fprint(os.Stdout)
 	}
 }

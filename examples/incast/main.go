@@ -14,7 +14,6 @@ import (
 	"amrt/internal/experiment"
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/transport"
 	"amrt/internal/workload"
@@ -29,14 +28,10 @@ func main() {
 	fmt.Printf("%-8s %12s %12s %8s %8s %8s\n", "proto", "mean FCT", "max FCT", "drops", "trims", "maxQ")
 
 	for _, proto := range experiment.ProtocolNames() {
-		st := experiment.MustStack(proto, experiment.StackOptions{})
-		sc := topo.DefaultScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewFanN(sc, fanIn)
-		col := stats.NewFCTCollector()
-		inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond, Collector: col})
+		h := experiment.NewScenarioHarness(experiment.MustStack(proto, experiment.StackOptions{}),
+			topo.DefaultScenario(), func(sc topo.ScenarioConfig) *topo.Scenario { return topo.NewFanN(sc, fanIn) },
+			transport.Config{RTT: 100 * sim.Microsecond}, 1, 0, nil)
+		s := h.S
 
 		// Monitor the receiver downlink.
 		var down *netsim.Port
@@ -50,9 +45,9 @@ func main() {
 		specs := workload.Incast(seq(fanIn), 0, size, 0)
 		var flows []*transport.Flow
 		for _, fs := range specs {
-			flows = append(flows, inst.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start))
+			flows = append(flows, h.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start))
 		}
-		s.Net.Run(5 * sim.Second)
+		h.Run(5 * sim.Second)
 
 		var maxFCT sim.Time
 		for _, f := range flows {
@@ -69,7 +64,7 @@ func main() {
 			}
 		}
 		fmt.Printf("%-8s %12v %12v %8d %8d %8d\n",
-			proto, col.Mean().Duration().Round(time.Microsecond),
+			proto, h.FCT().Mean().Duration().Round(time.Microsecond),
 			maxFCT.Duration().Round(time.Microsecond),
 			s.Net.Dropped(), trims, mon.MaxQueueLen)
 	}

@@ -19,7 +19,7 @@ func main() {
 	fmt.Println("f2 (cross traffic at the 2nd bottleneck) starts at 1ms, f3 at 3.5ms")
 	fmt.Println()
 	for _, proto := range []string{"pHost", "AMRT"} {
-		res := experiment.Fig1(experiment.MustStack(proto, experiment.StackOptions{}))
+		res := experiment.Fig1(experiment.MustStack(proto, experiment.StackOptions{}), 1)
 		res.Phases.Fprint(os.Stdout)
 	}
 	fmt.Println("pHost cannot reclaim the bandwidth f0 releases at the first")

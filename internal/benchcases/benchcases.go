@@ -54,7 +54,7 @@ func Fig01(proto string) func(b *testing.B) {
 	return func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			res := experiment.Fig1(stack(proto))
+			res := experiment.Fig1(stack(proto), 1)
 			last = res.Util.MeanBetween(4*sim.Millisecond, 8*sim.Millisecond)
 		}
 		b.ReportMetric(last, "util_squeezed")
@@ -66,7 +66,7 @@ func Fig02(proto string) func(b *testing.B) {
 	return func(b *testing.B) {
 		var mean float64
 		for i := 0; i < b.N; i++ {
-			res := experiment.Fig2(stack(proto))
+			res := experiment.Fig2(stack(proto), 1)
 			mean = res.Util.Mean()
 		}
 		b.ReportMetric(mean, "util_mean")
@@ -78,7 +78,7 @@ func Fig02(proto string) func(b *testing.B) {
 func Fig09(b *testing.B) {
 	var fct float64
 	for i := 0; i < b.N; i++ {
-		res := experiment.Fig9(stack("AMRT"))
+		res := experiment.Fig9(stack("AMRT"), 1)
 		fct = res.Flows[1].FCT().Milliseconds()
 	}
 	b.ReportMetric(fct, "f2_fct_ms")
@@ -90,7 +90,7 @@ func Fig11(proto string) func(b *testing.B) {
 	return func(b *testing.B) {
 		var fct float64
 		for i := 0; i < b.N; i++ {
-			res := experiment.Fig11(stack(proto))
+			res := experiment.Fig11(stack(proto), 1)
 			if res.Flows[1].Done {
 				fct = res.Flows[1].FCT().Milliseconds()
 			}

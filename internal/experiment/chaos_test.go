@@ -35,15 +35,12 @@ func runFanChaos(t *testing.T, proto, spec string) (*topo.Scenario, *faults.Plan
 		plan.Seed = 1
 	}
 	st := MustStack(proto, StackOptions{})
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = plan.WrapQueues(st.SwitchQueue)
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewFanN(sc, 4)
-	inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond})
+	st.SwitchQueue = plan.WrapQueues(st.SwitchQueue)
+	h := NewScenarioHarness(st, topo.DefaultScenario(), fanN(4), scenarioBase, 1, 0, nil)
+	s, inst := h.S, h.insts[0]
 	var flows []*transport.Flow
 	for i := 0; i < 4; i++ {
-		flows = append(flows, inst.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond))
+		flows = append(flows, h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond))
 	}
 	const horizon = 20 * sim.Second
 	plan.CrashHook = func(_ *netsim.Shard, h *netsim.Host) { inst.OnHostCrash(h) }

@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"fmt"
+	"os"
+
 	"amrt/internal/faults"
+	"amrt/internal/metrics"
 	"amrt/internal/sim"
 	"amrt/internal/topo"
+	"amrt/internal/workload"
 )
 
 // SimConfig drives the large-scale figures (12, 13, 14). The defaults
@@ -83,19 +88,32 @@ func PaperSimConfig() SimConfig {
 	return c
 }
 
-// newFaultPlan parses FaultSpec into a fresh plan for one run (plans
-// hold per-run counters and queue-seed state, so they must not be
-// shared across the parallel figure runs). The spec was validated at
-// flag-parse time in the CLIs; a bad spec reaching this point panics.
-func (c SimConfig) newFaultPlan() *faults.Plan {
-	if c.FaultSpec == "" {
-		return nil
+// runCell runs one figure-12/13 cell through the runner with the
+// configuration's shard count, a fresh fault plan (plans hold per-run
+// counters and queue-seed state, so parallel runs must not share one;
+// the CLIs validate the spec, so a bad one panics here) and, with
+// MetricsDir set, a telemetry registry dumped under name. A failed dump
+// is reported to stderr rather than aborting the figure.
+func (c SimConfig) runCell(st Stack, flows []workload.FlowSpec, name string) RunResult {
+	run := LeafSpineRun{
+		Topo: c.Topo, Stack: st, Flows: flows, Horizon: c.Horizon, Shards: c.Shards,
+		MetricsInterval: MetricsIntervalOrDefault(c.MetricsInterval),
 	}
-	p := faults.MustParse(c.FaultSpec)
-	if p.Seed == 0 {
-		p.Seed = c.Seed
+	if c.FaultSpec != "" {
+		run.Faults = faults.MustParse(c.FaultSpec)
+		if run.Faults.Seed == 0 {
+			run.Faults.Seed = c.Seed
+		}
 	}
-	return p
+	if c.MetricsDir == "" {
+		return run.Run()
+	}
+	run.Metrics = metrics.NewRegistry()
+	res := run.Run()
+	if err := WriteMetricsDump(c.MetricsDir, name, res.Metrics); err != nil {
+		fmt.Fprintf(os.Stderr, "experiment: writing metrics %s: %v\n", name, err)
+	}
+	return res
 }
 
 // flowCount applies the byte budget to the configured flow count.

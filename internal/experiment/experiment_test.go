@@ -188,8 +188,8 @@ func TestFig14AMRTHighUtilLowQueue(t *testing.T) {
 }
 
 func TestFig1PHostUnderUtilizationAMRTReclaims(t *testing.T) {
-	ph := Fig1(MustStack("pHost", StackOptions{}))
-	am := Fig1(MustStack("AMRT", StackOptions{}))
+	ph := Fig1(MustStack("pHost", StackOptions{}), 1)
+	am := Fig1(MustStack("AMRT", StackOptions{}), 1)
 	// During the squeeze (both f2 and f3 active) pHost leaves the first
 	// bottleneck under-used; AMRT reclaims most of it.
 	from, to := 4*sim.Millisecond, 8*sim.Millisecond
@@ -207,8 +207,8 @@ func TestFig1PHostUnderUtilizationAMRTReclaims(t *testing.T) {
 }
 
 func TestFig2AMRTFinishesSooner(t *testing.T) {
-	ph := Fig2(MustStack("pHost", StackOptions{}))
-	am := Fig2(MustStack("AMRT", StackOptions{}))
+	ph := Fig2(MustStack("pHost", StackOptions{}), 1)
+	am := Fig2(MustStack("AMRT", StackOptions{}), 1)
 	// Same byte total: AMRT must keep the link fuller on average.
 	if am.Util.Mean() <= ph.Util.Mean() {
 		t.Errorf("AMRT mean utilization %.3f not above pHost %.3f", am.Util.Mean(), ph.Util.Mean())
@@ -258,7 +258,7 @@ func TestFig7TablesShape(t *testing.T) {
 }
 
 func TestFig9AMRTAbsorbsReleasedBandwidth(t *testing.T) {
-	res := Fig9(MustStack("AMRT", StackOptions{}))
+	res := Fig9(MustStack("AMRT", StackOptions{}), 1)
 	for i, f := range res.Flows {
 		if !f.Done {
 			t.Fatalf("flow %d did not complete", i+1)
@@ -275,7 +275,7 @@ func TestFig9AMRTAbsorbsReleasedBandwidth(t *testing.T) {
 }
 
 func TestFig11AMRTBestForF2(t *testing.T) {
-	results, cmp := Fig11All()
+	results, cmp := Fig11All(1)
 	if want := len(ProtocolNames()); len(results) != want || len(cmp.Rows) != 4 {
 		t.Fatal("Fig11All shape wrong")
 	}

@@ -27,72 +27,33 @@ type MotivationResult struct {
 	Phases *Table
 }
 
-// trackFlows attaches normalized-goodput trackers to the given flows.
-// It must be called before the run; the returned finish() collects the
-// series afterwards.
-func trackFlows(net *netsim.Network, names []string, window sim.Time, ref sim.Rate) (onData func(*transport.Flow, *netsim.Packet), finish func() []*stats.Series) {
-	trackers := map[netsim.FlowID]*stats.FlowThroughput{}
-	order := []netsim.FlowID{}
-	onData = func(f *transport.Flow, pkt *netsim.Packet) {
-		tr := trackers[f.ID]
-		if tr == nil {
-			name := fmt.Sprintf("f%d", f.ID)
-			if int(f.ID-1) < len(names) && f.ID >= 1 {
-				name = names[f.ID-1]
-			}
-			tr = stats.NewFlowThroughput(name, window, ref)
-			trackers[f.ID] = tr
-			order = append(order, f.ID)
-		}
-		tr.OnBytes(net.Engine.Now(), pkt.Size)
-	}
-	finish = func() []*stats.Series {
-		out := make([]*stats.Series, 0, len(order))
-		for _, id := range order {
-			out = append(out, trackers[id].Finish())
-		}
-		return out
-	}
-	return onData, finish
-}
-
 // Fig1 reproduces the §2.1 multi-bottleneck motivation: four flows on
 // the two-bottleneck chain; f2 starts at 1 ms, f3 at 3.5 ms, and the
 // first bottleneck's utilization drops as f0 is squeezed at the second
 // bottleneck. The paper runs pHost here; any stack may be passed to
-// compare.
-func Fig1(st Stack) MotivationResult {
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = st.SwitchQueue
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewChain(sc)
+// compare. shards is the engine-shard count; results are identical at
+// every count.
+func Fig1(st Stack, shards int) MotivationResult {
+	h := NewScenarioHarness(st, topo.DefaultScenario(), topo.NewChain, scenarioBase, shards,
+		100*sim.Microsecond, []string{"f0", "f1", "f2", "f3"})
+	s := h.S
 	mon := netsim.Attach(s.Bottlenecks[0])
-
-	base := transport.Config{RTT: 100 * sim.Microsecond}
-	names := []string{"f0", "f1", "f2", "f3"}
-	onData, finish := trackFlows(s.Net, names, 100*sim.Microsecond, sc.Rate)
-	base.OnData = onData
-	inst := st.New(s.Net, base)
 
 	// Long-running flows; f0 crosses both bottlenecks. "Simultaneous"
 	// starts are staggered by a few µs (invisible at the figure's ms
 	// scale) so the deterministic drop-tail does not phase-lock onto one
 	// sender during the blind-start overload.
-	inst.AddFlow(1, s.Senders[0], s.Receivers[0], 25_000_000, 0)
-	inst.AddFlow(2, s.Senders[1], s.Receivers[1], 25_000_000, 2500*sim.Nanosecond)
-	inst.AddFlow(3, s.Senders[2], s.Receivers[2], 25_000_000, sim.Millisecond)
-	inst.AddFlow(4, s.Senders[3], s.Receivers[3], 25_000_000, 3500*sim.Microsecond)
+	h.AddFlow(1, s.Senders[0], s.Receivers[0], 25_000_000, 0)
+	h.AddFlow(2, s.Senders[1], s.Receivers[1], 25_000_000, 2500*sim.Nanosecond)
+	h.AddFlow(3, s.Senders[2], s.Receivers[2], 25_000_000, sim.Millisecond)
+	h.AddFlow(4, s.Senders[3], s.Receivers[3], 25_000_000, 3500*sim.Microsecond)
 
-	sampler := stats.NewUtilizationSampler(100 * sim.Microsecond)
-	linkUtil := sampler.Track("btl0-link-util", mon.Utilization, mon.ResetWindow)
 	const horizon = 8 * sim.Millisecond
-	sampler.Start(s.Net.Engine, horizon)
-	s.Net.Run(horizon)
+	linkUtil := h.TrackUtil("btl0-link-util", s.Bottlenecks[0], mon, 100*sim.Microsecond, horizon)
+	h.Run(horizon)
 
-	series := finish()
-	// Goodput crossing the first bottleneck: f0 + f1 (series are in
-	// flow-creation order; both start at 0 so indexes 0 and 1 are them).
+	series := h.Series()
+	// Goodput crossing the first bottleneck: f0 + f1.
 	util := stats.SumSeries("btl0-goodput-util", pick(series, "f0"), pick(series, "f1"))
 
 	phases := &Table{
@@ -121,20 +82,13 @@ func pick(series []*stats.Series, name string) *stats.Series {
 // Fig2 reproduces the §2.2 dynamic-traffic motivation: four flows with
 // distinct receivers share one bottleneck; sizes stagger their
 // completions, and a conservative protocol leaves the freed bandwidth
-// unused.
-func Fig2(st Stack) MotivationResult {
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = st.SwitchQueue
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewFan(sc)
+// unused. shards is the engine-shard count; results are identical at
+// every count.
+func Fig2(st Stack, shards int) MotivationResult {
+	h := NewScenarioHarness(st, topo.DefaultScenario(), topo.NewFan, scenarioBase, shards,
+		100*sim.Microsecond, []string{"f0", "f1", "f2", "f3"})
+	s := h.S
 	mon := netsim.Attach(s.Bottlenecks[0])
-
-	base := transport.Config{RTT: 100 * sim.Microsecond}
-	names := []string{"f0", "f1", "f2", "f3"}
-	onData, finish := trackFlows(s.Net, names, 100*sim.Microsecond, sc.Rate)
-	base.OnData = onData
-	inst := st.New(s.Net, base)
 
 	// Sized so completions land near 2/4/6/8 ms at a fair quarter share
 	// (2.5 Gbps each): 625 KB, 1.25 MB, 1.875 MB, 2.5 MB.
@@ -147,16 +101,14 @@ func Fig2(st Stack) MotivationResult {
 		// jitter streams, so the figure shows "finishes later", not
 		// "never finishes".
 		start := sim.Time(i) * 5 * sim.Microsecond
-		flows = append(flows, inst.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], size, start))
+		flows = append(flows, h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], size, start))
 	}
 
-	sampler := stats.NewUtilizationSampler(100 * sim.Microsecond)
-	linkUtil := sampler.Track("btl-link-util", mon.Utilization, mon.ResetWindow)
 	const horizon = 16 * sim.Millisecond
-	sampler.Start(s.Net.Engine, horizon)
-	s.Net.Run(horizon)
+	linkUtil := h.TrackUtil("btl-link-util", s.Bottlenecks[0], mon, 100*sim.Microsecond, horizon)
+	h.Run(horizon)
 
-	series := finish()
+	series := h.Series()
 	util := stats.SumSeries("btl-goodput-util", series...)
 
 	phases := &Table{

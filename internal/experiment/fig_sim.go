@@ -46,14 +46,7 @@ func Fig12Cells(cfg SimConfig) []FCTCell {
 			Count:    cfg.flowCount(s.w.Mean()),
 			Seed:     sim.SubSeed(cfg.Seed, fmt.Sprintf("fig12-%s-%.2f", s.w.Name(), s.load)),
 		})
-		res := LeafSpineRun{
-			Topo: cfg.Topo, Stack: s.st, Flows: flows, Horizon: cfg.Horizon,
-			Faults: cfg.newFaultPlan(), Shards: cfg.Shards,
-			Metrics: cfg.newRunMetrics(), MetricsInterval: cfg.metricsInterval(),
-		}.Run()
-		dumpRunMetrics(cfg.MetricsDir,
-			fmt.Sprintf("fig12_%s_%.2f_%s", s.w.Name(), s.load, s.st.Name), res.Metrics)
-		return res
+		return cfg.runCell(s.st, flows, fmt.Sprintf("fig12_%s_%.2f_%s", s.w.Name(), s.load, s.st.Name))
 	})
 	cells := make([]FCTCell, len(specs))
 	for i, s := range specs {
@@ -138,14 +131,7 @@ func Fig13Cells(cfg SimConfig, flowCounts []int) []UtilCell {
 			Count:    s.n,
 			Seed:     sim.SubSeed(cfg.Seed, fmt.Sprintf("fig13-%s-%d", s.w.Name(), s.n)),
 		})
-		res := LeafSpineRun{
-			Topo: cfg.Topo, Stack: s.st, Flows: flows, Horizon: cfg.Horizon,
-			Faults: cfg.newFaultPlan(), Shards: cfg.Shards,
-			Metrics: cfg.newRunMetrics(), MetricsInterval: cfg.metricsInterval(),
-		}.Run()
-		dumpRunMetrics(cfg.MetricsDir,
-			fmt.Sprintf("fig13_%s_%d_%s", s.w.Name(), s.n, s.st.Name), res.Metrics)
-		return res
+		return cfg.runCell(s.st, flows, fmt.Sprintf("fig13_%s_%d_%s", s.w.Name(), s.n, s.st.Name))
 	})
 	cells := make([]UtilCell, len(specs))
 	for i, s := range specs {

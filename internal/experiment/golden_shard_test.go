@@ -13,7 +13,6 @@ import (
 	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/trace"
-	"amrt/internal/transport"
 	"amrt/internal/workload"
 )
 
@@ -35,107 +34,81 @@ func serializeSorted(buf *bytes.Buffer, series []*stats.Series) {
 	serializeSeries(buf, sorted)
 }
 
-// goldenFig1Shards runs the Fig-1 chain workload on the harness at the
-// given shard count and serializes its traces. At nshards == 1 the
-// harness is the single-engine reference path.
-func goldenFig1Shards(kind sim.SchedulerKind, stack string, nshards int) string {
+// goldenFigShards runs a scenario figure — "1", "2", "9" or "11" —
+// through its real entry point at the given shard count and serializes
+// everything it returns. At nshards == 1 the figure takes the
+// single-engine reference path.
+func goldenFigShards(kind sim.SchedulerKind, fig, stack string, nshards int) string {
 	var buf bytes.Buffer
 	underScheduler(kind, func() {
 		st := MustStack(stack, StackOptions{})
-		sc := topo.DefaultScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewChain(sc)
-		mon := netsim.Attach(s.Bottlenecks[0])
-
-		names := []string{"f0", "f1", "f2", "f3"}
-		h := NewScenarioHarness(s, st, transport.Config{RTT: 100 * sim.Microsecond}, nshards, 100*sim.Microsecond, names)
-		h.AddFlow(1, s.Senders[0], s.Receivers[0], 25_000_000, 0)
-		h.AddFlow(2, s.Senders[1], s.Receivers[1], 25_000_000, 2500*sim.Nanosecond)
-		h.AddFlow(3, s.Senders[2], s.Receivers[2], 25_000_000, sim.Millisecond)
-		h.AddFlow(4, s.Senders[3], s.Receivers[3], 25_000_000, 3500*sim.Microsecond)
-
-		const horizon = 8 * sim.Millisecond
-		linkUtil := h.TrackUtil("btl0-link-util", s.Bottlenecks[0], mon, 100*sim.Microsecond, horizon)
-		h.Run(horizon)
-
-		series := h.Series()
-		serializeSorted(&buf, series)
-		serializeSeries(&buf, []*stats.Series{
-			stats.SumSeries("btl0-goodput-util", pick(series, "f0"), pick(series, "f1")),
-			linkUtil,
-		})
+		switch fig {
+		case "1":
+			digestMotivation(&buf, Fig1(st, nshards))
+		case "2":
+			digestMotivation(&buf, Fig2(st, nshards))
+		case "9":
+			digestTestbed(&buf, Fig9(st, nshards))
+		case "11":
+			digestTestbed(&buf, Fig11(st, nshards))
+		default:
+			panic("unknown scenario figure " + fig)
+		}
 	})
 	return buf.String()
 }
 
-// goldenFig9Shards is the same proof on the Fig-9 testbed topology.
-func goldenFig9Shards(kind sim.SchedulerKind, nshards int) string {
-	var buf bytes.Buffer
-	underScheduler(kind, func() {
-		st := MustStack("AMRT", StackOptions{})
-		sc := topo.TestbedScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewTestbedDynamic(sc)
-
-		names := []string{"f1", "f2", "f3", "f4"}
-		h := NewScenarioHarness(s, st, transport.Config{RTT: 100 * sim.Microsecond}, nshards, 250*sim.Microsecond, names)
-		h.AddFlow(1, s.Senders[0], s.Receivers[0], 312_500, 0)
-		h.AddFlow(2, s.Senders[1], s.Receivers[1], 2_000_000, 0)
-		h.AddFlow(3, s.Senders[2], s.Receivers[2], 812_500, 0)
-		h.AddFlow(4, s.Senders[3], s.Receivers[3], 2_000_000, 0)
-
-		h.Run(40 * sim.Millisecond)
-		serializeSorted(&buf, h.Series())
-		for _, f := range h.Flows() {
-			fmt.Fprintf(&buf, "flow %d done=%v end=%d\n", f.ID, f.Done, int64(f.End))
+// checkFigShards compares each stack's figure output at every given
+// shard count against its single-engine reference.
+func checkFigShards(t *testing.T, fig string, stacks []string, counts []int) {
+	t.Helper()
+	for _, stack := range stacks {
+		ref := goldenFigShards(sim.SchedulerWheel, fig, stack, 1)
+		if ref == "" {
+			t.Fatalf("Fig%s %s: empty reference trace", fig, stack)
 		}
-	})
-	return buf.String()
+		for _, n := range counts {
+			if got := goldenFigShards(sim.SchedulerWheel, fig, stack, n); got != ref {
+				t.Errorf("Fig%s %s: %d-shard trace differs from single-engine reference", fig, stack, n)
+			}
+		}
+	}
 }
 
 // TestGoldenShardsFig1 proves shards=1 vs shards=N byte-identity on the
 // Fig-1 chain for a sender-paced (pHost) and a receiver-driven (AMRT)
 // stack, across every shard count the 3-switch topology admits.
 func TestGoldenShardsFig1(t *testing.T) {
-	for _, stack := range []string{"pHost", "AMRT"} {
-		ref := goldenFig1Shards(sim.SchedulerWheel, stack, 1)
-		if ref == "" {
-			t.Fatalf("Fig1 %s: empty reference trace", stack)
-		}
-		for _, n := range []int{2, 3} {
-			if got := goldenFig1Shards(sim.SchedulerWheel, stack, n); got != ref {
-				t.Errorf("Fig1 %s: %d-shard trace differs from single-engine reference", stack, n)
-			}
-		}
-	}
+	checkFigShards(t, "1", []string{"pHost", "AMRT"}, []int{2, 3})
+}
+
+// TestGoldenShardsFig2 is the same proof on the Fig-2 fan for every
+// comparison stack, including shard counts above the 2-switch
+// topology's switch count (empty shards).
+func TestGoldenShardsFig2(t *testing.T) {
+	checkFigShards(t, "2", ProtocolNames(), []int{2, 3, 4})
 }
 
 // TestGoldenShardsFig9 proves shards=1 vs shards=N byte-identity on the
 // Fig-9 testbed (4 switches, two independent dumbbells).
 func TestGoldenShardsFig9(t *testing.T) {
-	ref := goldenFig9Shards(sim.SchedulerWheel, 1)
-	if ref == "" {
-		t.Fatal("Fig9: empty reference trace")
-	}
-	for _, n := range []int{2, 4} {
-		if got := goldenFig9Shards(sim.SchedulerWheel, n); got != ref {
-			t.Errorf("Fig9: %d-shard trace differs from single-engine reference", n)
-		}
-	}
+	checkFigShards(t, "9", []string{"AMRT"}, []int{2, 4})
+}
+
+// TestGoldenShardsFig11 is the same proof on the Fig-11 multi-bottleneck
+// testbed for every comparison stack.
+func TestGoldenShardsFig11(t *testing.T) {
+	checkFigShards(t, "11", ProtocolNames(), []int{2, 3, 4})
 }
 
 // TestGoldenShardsWheelVsHeap proves wheel-vs-heap agreement *under
 // sharding*: the two schedulers must stay byte-identical when each
 // shard runs its own scheduler instance inside the time-window loop.
 func TestGoldenShardsWheelVsHeap(t *testing.T) {
-	if goldenFig1Shards(sim.SchedulerWheel, "AMRT", 3) != goldenFig1Shards(sim.SchedulerHeap, "AMRT", 3) {
+	if goldenFigShards(sim.SchedulerWheel, "1", "AMRT", 3) != goldenFigShards(sim.SchedulerHeap, "1", "AMRT", 3) {
 		t.Error("Fig1 3-shard trace differs between wheel and heap schedulers")
 	}
-	if goldenFig9Shards(sim.SchedulerWheel, 4) != goldenFig9Shards(sim.SchedulerHeap, 4) {
+	if goldenFigShards(sim.SchedulerWheel, "9", "AMRT", 4) != goldenFigShards(sim.SchedulerHeap, "9", "AMRT", 4) {
 		t.Error("Fig9 4-shard trace differs between wheel and heap schedulers")
 	}
 }
@@ -235,7 +208,7 @@ func TestGoldenShardsSIRD(t *testing.T) {
 	if got := goldenFatTreeIncast(sim.SchedulerHeap, "SIRD", 4, ""); got != ref {
 		t.Error("SIRD fat-tree incast: 4-shard heap dump differs from single-engine wheel reference")
 	}
-	if goldenFig1Shards(sim.SchedulerWheel, "SIRD", 3) != goldenFig1Shards(sim.SchedulerHeap, "SIRD", 3) {
+	if goldenFigShards(sim.SchedulerWheel, "1", "SIRD", 3) != goldenFigShards(sim.SchedulerHeap, "1", "SIRD", 3) {
 		t.Error("SIRD Fig1 3-shard trace differs between wheel and heap schedulers")
 	}
 }
@@ -300,6 +273,50 @@ func TestGoldenShardsFaultNodeLevel(t *testing.T) {
 		}
 		if got := goldenFatTreeIncast(sim.SchedulerHeap, stack, 4, goldenNodeFaultSpec); got != ref {
 			t.Errorf("%s node faults: 4-shard heap dump differs from single-engine wheel reference", stack)
+		}
+	}
+}
+
+// TestPartitionFabricRule pins the fabric node→shard map: ToRs — the
+// owners of the host downlinks, in host order — round-robin across the
+// shards, each host rides with its ToR, and the remaining switches
+// round-robin in creation order. The load balance of every sharded
+// fabric run rests on this map.
+func TestPartitionFabricRule(t *testing.T) {
+	for name, b := range map[string]topo.Builder{
+		"leafspine": topo.DefaultLeafSpine(),
+		"fattree":   topo.DefaultFatTree(),
+		"clos":      topo.DefaultClos(),
+	} {
+		for _, n := range []int{2, 3, 5} {
+			ls := b.Build(topo.Overlay{})
+			got := partition(ls.Net, ls.Hosts, ls.Switches, n).assign
+			want := map[netsim.NodeID]int{}
+			tors := 0
+			for _, dl := range ls.HostDownlinks {
+				if _, ok := want[dl.Owner().ID()]; !ok {
+					want[dl.Owner().ID()] = tors % n
+					tors++
+				}
+			}
+			for i, h := range ls.Hosts {
+				want[h.ID()] = want[ls.HostDownlinks[i].Owner().ID()]
+			}
+			rr := 0
+			for _, sw := range ls.Switches {
+				if _, ok := want[sw.ID()]; !ok {
+					want[sw.ID()] = rr % n
+					rr++
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s/%d: %d nodes assigned, want %d", name, n, len(got), len(want))
+			}
+			for id, s := range want {
+				if got[id] != s {
+					t.Errorf("%s/%d: node %d on shard %d, want %d", name, n, id, got[id], s)
+				}
+			}
 		}
 	}
 }

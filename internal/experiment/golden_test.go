@@ -42,7 +42,7 @@ func serializeSeries(buf *bytes.Buffer, series []*stats.Series) {
 func goldenFig1(kind sim.SchedulerKind, stack string) string {
 	var buf bytes.Buffer
 	underScheduler(kind, func() {
-		res := Fig1(MustStack(stack, StackOptions{}))
+		res := Fig1(MustStack(stack, StackOptions{}), 1)
 		serializeSeries(&buf, res.FlowSeries)
 		serializeSeries(&buf, []*stats.Series{res.Util, res.LinkUtil})
 		res.Phases.Fprint(&buf)
@@ -53,7 +53,7 @@ func goldenFig1(kind sim.SchedulerKind, stack string) string {
 func goldenFig9(kind sim.SchedulerKind) string {
 	var buf bytes.Buffer
 	underScheduler(kind, func() {
-		res := Fig9(MustStack("AMRT", StackOptions{}))
+		res := Fig9(MustStack("AMRT", StackOptions{}), 1)
 		serializeSeries(&buf, res.Series)
 		res.Summary.Fprint(&buf)
 		for _, f := range res.Flows {

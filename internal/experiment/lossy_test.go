@@ -6,7 +6,6 @@ import (
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/transport"
 )
@@ -30,19 +29,13 @@ func TestAllProtocolsSurviveRandomLoss(t *testing.T) {
 	for _, proto := range StackNames() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
-			st := lossyStack(proto, 0.02)
-			sc := topo.DefaultScenario()
-			sc.SwitchQueue = st.SwitchQueue
-			sc.HostQueue = st.HostQueue
-			sc.Marker = st.Marker
-			s := topo.NewFanN(sc, 4)
-			col := stats.NewFCTCollector()
-			inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond, Collector: col})
+			h := NewScenarioHarness(lossyStack(proto, 0.02), topo.DefaultScenario(), fanN(4), scenarioBase, 1, 0, nil)
+			s := h.S
 			var flows []*transport.Flow
 			for i := 0; i < 4; i++ {
-				flows = append(flows, inst.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond))
+				flows = append(flows, h.AddFlow(netsim.FlowID(i+1), s.Senders[i], s.Receivers[i], 1_000_000, sim.Time(i)*20*sim.Microsecond))
 			}
-			s.Net.Run(20 * sim.Second)
+			h.Run(20 * sim.Second)
 			for _, f := range flows {
 				if !f.Done {
 					t.Fatalf("%v did not complete under 2%% loss", f)
@@ -71,15 +64,9 @@ func TestSingleFlowUnderHeavyLoss(t *testing.T) {
 	for _, proto := range ProtocolNames() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
-			st := lossyStack(proto, 0.05)
-			sc := topo.DefaultScenario()
-			sc.SwitchQueue = st.SwitchQueue
-			sc.HostQueue = st.HostQueue
-			sc.Marker = st.Marker
-			s := topo.NewFanN(sc, 1)
-			inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond})
-			f := inst.AddFlow(1, s.Senders[0], s.Receivers[0], 2_000_000, 0)
-			s.Net.Run(30 * sim.Second)
+			h := NewScenarioHarness(lossyStack(proto, 0.05), topo.DefaultScenario(), fanN(1), scenarioBase, 1, 0, nil)
+			f := h.AddFlow(1, h.S.Senders[0], h.S.Receivers[0], 2_000_000, 0)
+			h.Run(30 * sim.Second)
 			if !f.Done {
 				t.Fatal("flow did not complete under 5% loss")
 			}
@@ -95,15 +82,10 @@ func TestSingleFlowUnderHeavyLoss(t *testing.T) {
 // The loss wrapper composes with the trace/drop accounting: injected
 // drops appear in the network drop counters.
 func TestLossAccounting(t *testing.T) {
-	st := lossyStack("AMRT", 0.1)
-	sc := topo.DefaultScenario()
-	sc.SwitchQueue = st.SwitchQueue
-	sc.HostQueue = st.HostQueue
-	sc.Marker = st.Marker
-	s := topo.NewFanN(sc, 1)
-	inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond})
-	f := inst.AddFlow(1, s.Senders[0], s.Receivers[0], 500_000, 0)
-	s.Net.Run(20 * sim.Second)
+	h := NewScenarioHarness(lossyStack("AMRT", 0.1), topo.DefaultScenario(), fanN(1), scenarioBase, 1, 0, nil)
+	s := h.S
+	f := h.AddFlow(1, s.Senders[0], s.Receivers[0], 500_000, 0)
+	h.Run(20 * sim.Second)
 	if !f.Done {
 		t.Fatal("flow incomplete")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
-	"amrt/internal/stats"
 	"amrt/internal/topo"
 	"amrt/internal/transport"
 	"amrt/internal/workload"
@@ -30,14 +29,8 @@ func RelatedWorkTable() *Table {
 		maxq      int
 	}
 	results := Parallel(len(protos), func(i int) out {
-		st := MustStack(protos[i], StackOptions{})
-		sc := topo.DefaultScenario()
-		sc.SwitchQueue = st.SwitchQueue
-		sc.HostQueue = st.HostQueue
-		sc.Marker = st.Marker
-		s := topo.NewFanN(sc, 16)
-		col := stats.NewFCTCollector()
-		inst := st.New(s.Net, transport.Config{RTT: 100 * sim.Microsecond, Collector: col})
+		h := NewScenarioHarness(MustStack(protos[i], StackOptions{}), topo.DefaultScenario(), fanN(16), scenarioBase, 1, 0, nil)
+		s := h.S
 		var down *netsim.Port
 		for _, pt := range s.Switches[1].Ports() {
 			if pt.Link().To.ID() == s.Receivers[0].ID() {
@@ -49,11 +42,11 @@ func RelatedWorkTable() *Table {
 		specs := workload.Incast(seqInts(16), 0, 250_000, 0)
 		var flows []*transport.Flow
 		for _, fs := range specs {
-			flows = append(flows, inst.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start))
+			flows = append(flows, h.AddFlow(fs.ID, s.Senders[fs.Src], s.Receivers[0], fs.Size, fs.Start))
 		}
-		s.Net.Run(5 * sim.Second)
+		h.Run(5 * sim.Second)
 		var o out
-		o.afct = col.Mean()
+		o.afct = h.FCT().Mean()
 		for _, f := range flows {
 			if f.Done && f.FCT() > o.max {
 				o.max = f.FCT()

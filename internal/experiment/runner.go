@@ -185,104 +185,124 @@ func (r LeafSpineRun) Run() RunResult {
 // configurations that cannot run: a sharded run without a finite
 // horizon, or a fault plan naming links, hosts, or switches the built
 // topology does not have.
+//
+// It is the run pipeline (docs/ARCHITECTURE.md): build the fabric,
+// partition it, create one stack instance per shard, register the
+// flows, attach the observers, run, and collect. ScenarioHarness shares
+// the partition, instance and registration stages.
 func (r LeafSpineRun) RunE() (RunResult, error) {
-	ov := topo.Overlay{
+	ls := r.Topo.Build(topo.Overlay{
 		HostQueue:   r.Stack.HostQueue,
-		SwitchQueue: r.Stack.SwitchQueue,
+		SwitchQueue: r.Faults.WrapQueues(r.Stack.SwitchQueue), // nil-safe
 		Marker:      r.Stack.Marker,
-	}
-	if r.Faults != nil {
-		ov.SwitchQueue = r.Faults.WrapQueues(ov.SwitchQueue)
-	}
-	ls := r.Topo.Build(ov)
+	})
 
-	nshards := r.Shards
-	if nshards <= 0 {
-		nshards = 1
-	}
 	horizon := r.Horizon
 	if horizon == 0 {
 		horizon = sim.Forever
 	}
-	var assignment map[netsim.NodeID]int
-	if nshards > 1 {
-		if horizon == sim.Forever {
-			return RunResult{}, fmt.Errorf("experiment: sharded runs require a finite Horizon")
-		}
-		assignment = shardAssignment(ls, nshards)
-		ls.Net.Partition(nshards, func(n netsim.Node) int { return assignment[n.ID()] })
+	if r.Shards > 1 && horizon == sim.Forever {
+		return RunResult{}, fmt.Errorf("experiment: sharded runs require a finite Horizon")
 	}
-	shards := ls.Net.Shards()
-	la := ls.Net.Lookahead()
-	idxOf := func(n netsim.Node) int {
-		if assignment == nil {
-			return 0
-		}
-		return assignment[n.ID()]
+	fr := &fabricRun{r: r, ls: ls, horizon: horizon,
+		shardSet: partition(ls.Net, ls.Hosts, ls.Switches, r.Shards)}
+	fr.startInstances()
+	fr.registerFlows()
+	if err := fr.attachObservers(); err != nil {
+		return RunResult{}, err
 	}
+	ls.Net.Run(horizon)
+	ls.Net.BarrierHook = nil
+	return fr.collect(), nil
+}
 
-	// Per-destination state for the utilization metric: delivered
-	// payload bytes and the flows targeting it (for backlogged-interval
-	// computation after the run). The downlink port doubles as the
-	// watchdog's receiver-side admin-state probe. The map is fully built
-	// during setup and only read during the run; the per-entry fields
-	// are written exclusively by the destination's home shard.
-	type dstState struct {
-		mon     *netsim.PortMonitor
-		dl      *netsim.Port
-		payload int64
-		flows   []*transport.Flow
-	}
-	dsts := map[netsim.NodeID]*dstState{}
+// fabricRun is one RunE's state as it moves through the pipeline. The
+// per-shard slices are merged after the run; index s belongs to shard
+// s's goroutine while windows execute.
+type fabricRun struct {
+	r       LeafSpineRun
+	ls      *topo.Fabric
+	horizon sim.Time
+	*shardSet
 
-	res := RunResult{Stack: r.Stack.Name, Total: len(r.Flows)}
+	cols       []*stats.FCTCollector
+	lastEnd    []sim.Time
+	parts      []*metrics.Registry
+	recs       []*trace.Recorder
+	stallDiags []map[netsim.FlowID]string
 
-	// Per-shard slices of the run's mutable results; merged after the
-	// run. Index s belongs to shard s's goroutine while windows execute.
-	cols := make([]*stats.FCTCollector, nshards)
-	lastEnd := make([]sim.Time, nshards)
-	parts := make([]*metrics.Registry, nshards)
-	recs := make([]*trace.Recorder, nshards)
-	bases := make([]transport.Config, nshards)
-	insts := make([]Instance, nshards)
-	stallDiags := make([]map[netsim.FlowID]string, nshards)
+	// dsts is the per-destination state of the utilization metric, fully
+	// built during setup and only read during the run; the per-entry
+	// fields are written exclusively by the destination's home shard.
+	dsts map[netsim.NodeID]*dstState
+	// deps lists dependent flows (workload.FlowSpec.After) by parent ID:
+	// pre-created without a start and released when the parent
+	// completes, so request/response loops are closed-loop. Built at
+	// setup, read-only during the run (the release path may run on any
+	// shard).
+	deps map[netsim.FlowID][]depChild
+	// flows lists every flow, dependents included, in spec order.
+	flows  []*transport.Flow
+	audits []*audit.Auditor
+}
+
+// dstState is one destination's delivered payload and the flows
+// targeting it (for the backlogged-interval computation after the run).
+// The downlink port doubles as the watchdog's receiver-side admin-state
+// probe.
+type dstState struct {
+	mon     *netsim.PortMonitor
+	dl      *netsim.Port
+	payload int64
+	flows   []*transport.Flow
+}
+
+type depChild struct {
+	flow            *transport.Flow
+	offset          sim.Time // spec Start: delay after the parent's End
+	srcIdx, homeIdx int
+}
+
+// startInstances is the instance stage: the per-shard result slices,
+// one base config per shard — its completion hook releases dependent
+// flows, its delivery hook feeds the utilization metric — and one stack
+// instance per shard.
+func (fr *fabricRun) startInstances() {
+	r, nshards := fr.r, len(fr.shards)
+	fr.cols = make([]*stats.FCTCollector, nshards)
+	fr.lastEnd = make([]sim.Time, nshards)
+	fr.parts = make([]*metrics.Registry, nshards)
+	fr.recs = make([]*trace.Recorder, nshards)
+	fr.stallDiags = make([]map[netsim.FlowID]string, nshards)
 	for s := 0; s < nshards; s++ {
-		cols[s] = stats.NewFCTCollector()
-		stallDiags[s] = map[netsim.FlowID]string{}
+		fr.cols[s] = stats.NewFCTCollector()
+		fr.stallDiags[s] = map[netsim.FlowID]string{}
 	}
 	if r.Metrics != nil {
-		parts[0] = r.Metrics
+		fr.parts[0] = r.Metrics
 		for s := 1; s < nshards; s++ {
-			parts[s] = metrics.NewRegistry()
+			fr.parts[s] = metrics.NewRegistry()
 		}
 	}
 	if r.Trace != nil {
-		recs[0] = r.Trace
+		fr.recs[0] = r.Trace
 		for s := 1; s < nshards; s++ {
-			recs[s] = &trace.Recorder{MaxEvents: r.Trace.MaxEvents}
+			fr.recs[s] = &trace.Recorder{MaxEvents: r.Trace.MaxEvents}
 		}
 	}
+	fr.dsts = map[netsim.NodeID]*dstState{}
+	fr.deps = map[netsim.FlowID][]depChild{}
 
-	// Dependent flows (workload.FlowSpec.After): pre-created without a
-	// start, released when their parent completes, so request/response
-	// loops are closed-loop. deps is keyed by parent ID, fully built at
-	// setup and read-only during the run (the release path may run on
-	// any shard).
-	type depChild struct {
-		flow            *transport.Flow
-		offset          sim.Time // spec Start: delay after the parent's End
-		srcIdx, homeIdx int
-	}
-	deps := map[netsim.FlowID][]depChild{}
-	deadlines := map[netsim.FlowID]sim.Time{}
-
+	dsts, deps, lastEnd, recs, shards := fr.dsts, fr.deps, fr.lastEnd, fr.recs, fr.shards
+	la := fr.ls.Net.Lookahead()
+	bases := make([]transport.Config, nshards)
 	for s := 0; s < nshards; s++ {
 		s := s
 		bases[s] = transport.Config{
-			RTT:       ls.RTT(),
+			RTT:       fr.ls.RTT(),
 			Shard:     shards[s],
-			Collector: cols[s],
-			Metrics:   parts[s],
+			Collector: fr.cols[s],
+			Metrics:   fr.parts[s],
 			OnDone: func(f *transport.Flow) {
 				if f.End > lastEnd[s] {
 					lastEnd[s] = f.End
@@ -302,7 +322,7 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 					child := dc.flow
 					sh := shards[s]
 					sh.Signal(f.Dst, child.Src, func() {
-						insts[dc.srcIdx].Release(child, start)
+						fr.insts[dc.srcIdx].Release(child, start)
 					})
 					sh.Signal(f.Dst, child.Dst, func() {
 						child.Released = true
@@ -327,235 +347,238 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 		if recs[s] != nil {
 			recs[s].AttachShard(shards[s], &bases[s])
 		}
+		shards[s].RegisterMetrics(fr.parts[s])
 	}
-	if r.Metrics != nil {
-		for s := 0; s < nshards; s++ {
-			shards[s].RegisterMetrics(parts[s])
-		}
-	}
-	for s := 0; s < nshards; s++ {
-		insts[s] = r.Stack.New(ls.Net, bases[s])
-	}
+	fr.start(r.Stack, fr.ls.Net, bases)
+}
 
-	// Flow registration: every flow — dependents included — is created
-	// up front in spec order, its sender side on its source's shard
-	// instance and its receiver side adopted by its destination's.
-	allFlows := make([]*transport.Flow, len(r.Flows))
-	for i, fs := range r.Flows {
-		src, dst := ls.Hosts[fs.Src], ls.Hosts[fs.Dst]
-		si, di := idxOf(src), idxOf(dst)
-		d := dsts[dst.ID()]
+// registerFlows is the registration stage: every flow — dependents
+// included — is created up front in spec order through the shared split
+// path. Top-level flows are released at their spec start; a dependent's
+// destination bookkeeping and trace start record wait for its release
+// signal, like the injection itself.
+func (fr *fabricRun) registerFlows() {
+	ls := fr.ls
+	fr.flows = make([]*transport.Flow, len(fr.r.Flows))
+	for i, fs := range fr.r.Flows {
+		f, si, di := fr.register(fs.ID, ls.Hosts[fs.Src], ls.Hosts[fs.Dst], fs.Size, fs.Unresponsive)
+		d := fr.dsts[f.Dst.ID()]
 		if d == nil {
 			// RegisterMetrics attaches (or reuses) the monitor and, with
 			// a registry, publishes the downlink's telemetry series on
 			// the owning shard. Spec order makes the registration order
 			// deterministic.
 			dl := ls.Downlink(fs.Dst)
-			d = &dstState{mon: dl.RegisterMetrics(parts[di]), dl: dl}
-			dsts[dst.ID()] = d
-		}
-		// Every flow takes the split-registration path — AddPending on the
-		// source shard, Adopt on the home shard — even when both are the
-		// same instance, so no later flow's source-side install can stomp
-		// a host handler another instance owns.
-		f := insts[si].AddPending(fs.ID, src, dst, fs.Size, fs.Unresponsive)
-		insts[di].Adopt(f)
-		if fs.Unresponsive {
-			res.Total-- // can never complete; exclude from the target
+			d = &dstState{mon: dl.RegisterMetrics(fr.parts[di]), dl: dl}
+			fr.dsts[f.Dst.ID()] = d
 		}
 		if fs.After != 0 {
-			deps[fs.After] = append(deps[fs.After], depChild{flow: f, offset: fs.Start, srcIdx: si, homeIdx: di})
-			// Destination bookkeeping and the trace start record wait for
-			// the release signal, like the injection itself.
+			fr.deps[fs.After] = append(fr.deps[fs.After], depChild{flow: f, offset: fs.Start, srcIdx: si, homeIdx: di})
 		} else {
-			f.Released = true
-			f.Start = fs.Start
-			insts[si].Release(f, fs.Start)
+			fr.release(f, si, fs.Start)
 			if !fs.Unresponsive {
 				d.flows = append(d.flows, f)
 			}
-			if recs[di] != nil {
-				recs[di].RecordStart(f)
+			if fr.recs[di] != nil {
+				fr.recs[di].RecordStart(f)
 			}
 		}
-		f.Home = int32(di)
-		allFlows[i] = f
-		if fs.Deadline > 0 && !fs.Unresponsive {
-			deadlines[fs.ID] = fs.Deadline
-		}
+		fr.flows[i] = f
 	}
+}
 
+// attachObservers is the observer stage: the fault plan, the liveness
+// watchdog, the invariant auditors, the telemetry tickers and the
+// interrupt poll, scheduled in that order.
+func (fr *fabricRun) attachObservers() error {
+	r := fr.r
 	if r.Faults != nil {
 		// Node-fault hook: each shard's stack instance drops the slice of
 		// the crashed host's state it owns, at the instant the fault layer
 		// parks the host's links. The fault layer fires the hook once per
 		// shard, on that shard's engine.
 		r.Faults.CrashHook = func(sh *netsim.Shard, h *netsim.Host) {
-			insts[sh.Index()].OnHostCrash(h)
+			fr.insts[sh.Index()].OnHostCrash(h)
 		}
-		if err := r.Faults.Apply(ls.Net, horizon); err != nil {
-			return RunResult{}, err
+		if err := r.Faults.Apply(fr.ls.Net, fr.horizon); err != nil {
+			return err
 		}
-		r.Faults.RegisterMetrics(parts[0])
+		r.Faults.RegisterMetrics(fr.parts[0])
 	}
+	fr.startWatchdog()
+	fr.startAudit()
+	fr.startMetrics()
+	if r.Interrupt != nil {
+		for _, sh := range fr.shards {
+			sh.Eng().SetInterrupt(0, r.Interrupt)
+		}
+	}
+	return nil
+}
 
-	// anyLive gates the self-rescheduling observer ticks on open-ended
-	// (Horizon == 0, necessarily single-shard) runs so they terminate
-	// once every responsive flow is done; dependents awaiting release
-	// are not Done, so they keep the ticks alive too. Finite-horizon
-	// runs instead tick to the horizon unconditionally — a pure function
-	// of (interval, horizon), identical at every shard count.
-	anyLive := func() bool {
-		for _, f := range allFlows {
-			if !f.Done && !f.Unresponsive {
-				return true
-			}
+// anyLive gates the self-rescheduling observer ticks on open-ended
+// (Horizon == 0, necessarily single-shard) runs so they terminate once
+// every responsive flow is done; dependents awaiting release are not
+// Done, so they keep the ticks alive too. Finite-horizon runs instead
+// tick to the horizon unconditionally — a pure function of (interval,
+// horizon), identical at every shard count.
+func (fr *fabricRun) anyLive() bool {
+	for _, f := range fr.flows {
+		if !f.Done && !f.Unresponsive {
+			return true
 		}
-		return false
 	}
-	// reschedule continues an observer tick chain in the late band.
-	reschedule := func(eng *sim.Engine, sub uint64, interval sim.Time, tick func()) {
-		next := eng.Now() + interval
-		if horizon == sim.Forever {
-			if anyLive() {
-				eng.ScheduleLate(next, sub, tick)
-			}
-			return
-		}
-		if next <= horizon {
+	return false
+}
+
+// reschedule continues an observer tick chain in the late band.
+func (fr *fabricRun) reschedule(eng *sim.Engine, sub uint64, interval sim.Time, tick func()) {
+	next := eng.Now() + interval
+	if fr.horizon == sim.Forever {
+		if fr.anyLive() {
 			eng.ScheduleLate(next, sub, tick)
 		}
+		return
 	}
+	if next <= fr.horizon {
+		eng.ScheduleLate(next, sub, tick)
+	}
+}
 
-	// Flow-liveness watchdog: no data progress for StallRTTs base RTTs
-	// while both access links are administratively up → Stalled (a late
-	// completion, or resumed progress, clears the report). One tick
-	// chain per shard, each inspecting only the flows homed there; the
-	// access-link admin probes consult the fault plan's AdminDown oracle
-	// — a pure function of the plan, safe from any shard — instead of
-	// reading another shard's live port state.
-	stallRTTs := r.StallRTTs
+// startWatchdog arms the flow-liveness watchdog: no data progress for
+// StallRTTs base RTTs while both access links are administratively up →
+// Stalled (a late completion, or resumed progress, clears the report).
+// One tick chain per shard, each inspecting only the flows homed there;
+// the access-link admin probes consult the fault plan's AdminDown
+// oracle — a pure function of the plan, safe from any shard — instead
+// of reading another shard's live port state.
+func (fr *fabricRun) startWatchdog() {
+	stallRTTs := fr.r.StallRTTs
 	if stallRTTs == 0 {
 		stallRTTs = DefaultStallRTTs
 	}
-	if stallRTTs > 0 {
-		window := sim.Time(stallRTTs) * ls.RTT()
-		for s := 0; s < nshards; s++ {
-			s := s
-			eng := shards[s].Eng()
-			var tick func()
-			tick = func() {
-				now := eng.Now()
-				for _, f := range insts[s].OrderedFlows() {
-					if int(f.Home) != s || !f.Released || f.Done || f.Unresponsive ||
-						now < f.Start || f.Outcome != transport.OutcomeRunning {
-						continue
-					}
-					last := f.LastProgress
-					if last < f.Start {
-						last = f.Start
-					}
-					if now-last < window {
-						continue
-					}
-					// A parked access link explains the silence: that flow is
-					// a fault casualty, not a liveness bug.
-					if r.Faults.AdminDown(f.Src.NIC(), now) {
-						continue
-					}
-					if d := dsts[f.Dst.ID()]; d != nil && r.Faults.AdminDown(d.dl, now) {
-						continue
-					}
-					f.Outcome = transport.OutcomeStalled
-					stallDiags[s][f.ID] = fmt.Sprintf(
-						"no data progress since %v (stall window %v = %d RTTs) with both access links up",
-						last, window, stallRTTs)
+	if stallRTTs <= 0 {
+		return
+	}
+	plan := fr.r.Faults
+	window := sim.Time(stallRTTs) * fr.ls.RTT()
+	for s := range fr.shards {
+		s := s
+		eng := fr.shards[s].Eng()
+		var tick func()
+		tick = func() {
+			now := eng.Now()
+			for _, f := range fr.insts[s].OrderedFlows() {
+				if int(f.Home) != s || !f.Released || f.Done || f.Unresponsive ||
+					now < f.Start || f.Outcome != transport.OutcomeRunning {
+					continue
 				}
-				reschedule(eng, subWatchdog, window/4, tick)
+				last := f.LastProgress
+				if last < f.Start {
+					last = f.Start
+				}
+				if now-last < window {
+					continue
+				}
+				// A parked access link explains the silence: that flow is
+				// a fault casualty, not a liveness bug.
+				if plan.AdminDown(f.Src.NIC(), now) {
+					continue
+				}
+				if d := fr.dsts[f.Dst.ID()]; d != nil && plan.AdminDown(d.dl, now) {
+					continue
+				}
+				f.Outcome = transport.OutcomeStalled
+				fr.stallDiags[s][f.ID] = fmt.Sprintf(
+					"no data progress since %v (stall window %v = %d RTTs) with both access links up",
+					last, window, stallRTTs)
 			}
-			eng.ScheduleLate(window/4, subWatchdog, tick)
+			fr.reschedule(eng, subWatchdog, window/4, tick)
 		}
+		eng.ScheduleLate(window/4, subWatchdog, tick)
 	}
+}
 
-	// Invariant auditors (see internal/audit): per-shard checks every
-	// metrics interval on the shard's own clock, plus — on sharded runs
-	// — a whole-network auditor carrying the cross-shard grant-budget
-	// ledger at every window barrier. Each panics with a forensic dump
-	// on the first violation.
-	var audits []*audit.Auditor
-	if r.Audit {
-		interval := MetricsIntervalOrDefault(r.MetricsInterval)
-		startTick := func(aud *audit.Auditor, eng *sim.Engine) {
-			var tick func()
-			tick = func() {
-				aud.Check()
-				reschedule(eng, subAudit, interval, tick)
-			}
-			eng.ScheduleLate(interval, subAudit, tick)
-		}
-		if nshards == 1 {
-			aud := audit.New(ls.Net, insts[0])
-			audits = append(audits, aud)
-			startTick(aud, ls.Net.Engine)
-		} else {
-			for s := 0; s < nshards; s++ {
-				aud := audit.NewShard(shards[s], insts[s])
-				audits = append(audits, aud)
-				startTick(aud, shards[s].Eng())
-			}
-			gaud := audit.New(ls.Net, globalAuditStack(insts, allFlows))
-			audits = append(audits, gaud)
-			ls.Net.BarrierHook = func() { gaud.Check() }
-		}
+// startAudit attaches the invariant auditors (see internal/audit):
+// per-shard checks every metrics interval on the shard's own clock,
+// plus — on sharded runs — a whole-network auditor carrying the
+// cross-shard grant-budget ledger at every window barrier. Each panics
+// with a forensic dump on the first violation.
+func (fr *fabricRun) startAudit() {
+	if !fr.r.Audit {
+		return
 	}
+	interval := MetricsIntervalOrDefault(fr.r.MetricsInterval)
+	startTick := func(aud *audit.Auditor, eng *sim.Engine) {
+		fr.audits = append(fr.audits, aud)
+		var tick func()
+		tick = func() {
+			aud.Check()
+			fr.reschedule(eng, subAudit, interval, tick)
+		}
+		eng.ScheduleLate(interval, subAudit, tick)
+	}
+	net := fr.ls.Net
+	if len(fr.shards) == 1 {
+		startTick(audit.New(net, fr.insts[0]), net.Engine)
+		return
+	}
+	for s, sh := range fr.shards {
+		startTick(audit.NewShard(sh, fr.insts[s]), sh.Eng())
+	}
+	gaud := audit.New(net, globalAuditStack(fr.insts, fr.flows))
+	fr.audits = append(fr.audits, gaud)
+	net.BarrierHook = func() { gaud.Check() }
+}
 
-	if r.Metrics != nil {
-		for s := 0; s < nshards; s++ {
-			s := s
-			parts[s].CounterFunc("experiment.flows_stalled", func() int64 {
-				return countOutcome(insts[s], s, transport.OutcomeStalled)
-			})
-			parts[s].CounterFunc("experiment.flows_killed_by_crash", func() int64 {
-				return countOutcome(insts[s], s, transport.OutcomeKilledByCrash)
-			})
-		}
-		interval := MetricsIntervalOrDefault(r.MetricsInterval)
-		if horizon == sim.Forever {
-			// Open-ended runs are single-shard; the legacy ticker stops on
-			// the queue-drain heuristic.
-			r.Metrics.Start(ls.Net.Engine, interval)
-		} else {
-			for s := 0; s < nshards; s++ {
-				parts[s].StartUntil(shards[s].Eng(), interval, horizon)
-			}
-		}
+// startMetrics registers the outcome counters and starts one telemetry
+// ticker per shard.
+func (fr *fabricRun) startMetrics() {
+	if fr.r.Metrics == nil {
+		return
 	}
-	if r.Interrupt != nil {
-		for s := 0; s < nshards; s++ {
-			shards[s].Eng().SetInterrupt(0, r.Interrupt)
-		}
+	for s := range fr.shards {
+		s := s
+		fr.parts[s].CounterFunc("experiment.flows_stalled", func() int64 {
+			return countOutcome(fr.insts[s], s, transport.OutcomeStalled)
+		})
+		fr.parts[s].CounterFunc("experiment.flows_killed_by_crash", func() int64 {
+			return countOutcome(fr.insts[s], s, transport.OutcomeKilledByCrash)
+		})
 	}
-	ls.Net.Run(horizon)
-	ls.Net.BarrierHook = nil
-	if len(audits) > 0 {
-		for _, aud := range audits {
-			aud.Check() // final end-of-run sweep
-			res.AuditChecks += aud.Checks
-			res.AuditViolations += aud.Violations
-		}
+	interval := MetricsIntervalOrDefault(fr.r.MetricsInterval)
+	if fr.horizon == sim.Forever {
+		// Open-ended runs are single-shard; the legacy ticker stops on
+		// the queue-drain heuristic.
+		fr.r.Metrics.Start(fr.ls.Net.Engine, interval)
+		return
 	}
+	for s, sh := range fr.shards {
+		fr.parts[s].StartUntil(sh.Eng(), interval, fr.horizon)
+	}
+}
 
+// collect is the final stage: a last audit sweep, the merged trace and
+// telemetry, every flow's disposition, and the figure statistics.
+func (fr *fabricRun) collect() RunResult {
+	r, ls := fr.r, fr.ls
+	res := RunResult{Stack: r.Stack.Name, Total: len(r.Flows)}
+	for _, aud := range fr.audits {
+		aud.Check() // final end-of-run sweep
+		res.AuditChecks += aud.Checks
+		res.AuditViolations += aud.Violations
+	}
 	if r.Trace != nil {
-		r.Trace.Absorb(recs...)
+		r.Trace.Absorb(fr.recs...)
 	}
 	if r.Metrics != nil {
-		if nshards == 1 {
+		if len(fr.shards) == 1 {
 			res.Metrics = r.Metrics
 		} else {
-			res.Metrics = metrics.Merged(parts...)
+			res.Metrics = metrics.Merged(fr.parts...)
 		}
 	}
-	for _, e := range lastEnd {
+	for _, e := range fr.lastEnd {
 		if e > res.LastEnd {
 			res.LastEnd = e
 		}
@@ -565,8 +588,9 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 	// whose parent never completed were never released; they are
 	// incomplete by definition (and missed deadlines if they carry one).
 	for i, fs := range r.Flows {
-		f := allFlows[i]
+		f := fr.flows[i]
 		if f.Unresponsive {
+			res.Total-- // can never complete; exclude from the target
 			continue
 		}
 		if fs.After != 0 && !f.Released {
@@ -585,7 +609,7 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 		o := FlowOutcome{ID: f.ID, Outcome: f.Outcome, LastProgress: f.LastProgress}
 		switch f.Outcome {
 		case transport.OutcomeStalled:
-			o.Diagnosis = stallDiags[f.Home][f.ID]
+			o.Diagnosis = fr.stallDiags[f.Home][f.ID]
 			res.Stalled++
 		case transport.OutcomeKilledByCrash:
 			o.Diagnosis = "endpoint crashed before completion"
@@ -593,9 +617,9 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 		case transport.OutcomeRunning:
 			o.Diagnosis = fmt.Sprintf("incomplete at horizon (last progress %v)", f.LastProgress)
 		}
-		if dl, ok := deadlines[f.ID]; ok {
+		if fs.Deadline > 0 {
 			res.DeadlineTotal++
-			if !f.Done || f.End > dl {
+			if !f.Done || f.End > fs.Deadline {
 				res.DeadlineMissed++
 				o.MissedDeadline = true
 			}
@@ -605,7 +629,7 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 
 	// The canonical merge runs at every shard count, so the one
 	// floating-point fold order backs all reported statistics.
-	col := stats.Merge(cols...)
+	col := stats.Merge(fr.cols...)
 	res.Collector = col
 	res.Completed = col.Count()
 	res.AFCT = col.Mean()
@@ -618,14 +642,14 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 	// deterministic (map order is not).
 	var payloadSum, capSum float64
 	for hi := range ls.Hosts {
-		d := dsts[ls.Hosts[hi].ID()]
+		d := fr.dsts[ls.Hosts[hi].ID()]
 		if d == nil {
 			continue
 		}
 		if d.mon.MaxQueueLen > res.MaxQueue {
 			res.MaxQueue = d.mon.MaxQueueLen
 		}
-		busy := backloggedTime(d.flows, horizon)
+		busy := backloggedTime(d.flows, fr.horizon)
 		if busy <= 0 {
 			continue
 		}
@@ -646,37 +670,82 @@ func (r LeafSpineRun) RunE() (RunResult, error) {
 	for _, sw := range ls.Switches {
 		res.Trims += trimCount(sw)
 	}
-	return res, nil
+	return res
 }
 
-// shardAssignment maps every node to an engine shard: ToRs — the unique
-// owners of the host downlinks, in first-appearance order — round-robin
-// across shards, hosts ride with their ToR (keeping the dense
-// host↔access-switch traffic intra-shard), and the remaining fabric
-// switches round-robin over the shards in creation order. The
-// assignment affects only wall-clock performance, never results.
-func shardAssignment(ls *topo.Fabric, nshards int) map[netsim.NodeID]int {
-	am := make(map[netsim.NodeID]int)
-	tors := 0
-	for _, dl := range ls.HostDownlinks {
-		sw := dl.Owner()
-		if _, ok := am[sw.ID()]; !ok {
-			am[sw.ID()] = tors % nshards
-			tors++
+// shardSet is what the partition and instance stages produce, shared by
+// LeafSpineRun and ScenarioHarness: the node→shard map, the network's
+// engine shards, and one stack instance per shard.
+type shardSet struct {
+	// assign maps each node to its shard; nil on an unpartitioned
+	// network, where every lookup reads shard 0.
+	assign map[netsim.NodeID]int
+	shards []*netsim.Shard
+	insts  []Instance
+}
+
+// partition is the partition stage and the package's one node→shard
+// rule. Access switches — each host's uplink peer, in host order —
+// round-robin across the shards and every host rides with its access
+// switch, keeping the dense host↔access-switch traffic intra-shard; the
+// remaining switches then round-robin in the given order. nshards <= 1
+// leaves the network unpartitioned. The assignment affects only
+// wall-clock performance, never results.
+func partition(net *netsim.Network, hosts []*netsim.Host, switches []*netsim.Switch, nshards int) *shardSet {
+	ss := &shardSet{}
+	if nshards > 1 {
+		am := make(map[netsim.NodeID]int, len(hosts)+len(switches))
+		access := 0
+		for _, h := range hosts {
+			sw := h.NIC().Link().To.ID()
+			if _, ok := am[sw]; !ok {
+				am[sw] = access % nshards
+				access++
+			}
+			am[h.ID()] = am[sw]
 		}
-	}
-	for i, h := range ls.Hosts {
-		am[h.ID()] = am[ls.HostDownlinks[i].Owner().ID()]
-	}
-	rr := 0
-	for _, sw := range ls.Switches {
-		if _, ok := am[sw.ID()]; ok {
-			continue
+		rr := 0
+		for _, sw := range switches {
+			if _, ok := am[sw.ID()]; !ok {
+				am[sw.ID()] = rr % nshards
+				rr++
+			}
 		}
-		am[sw.ID()] = rr % nshards
-		rr++
+		net.Partition(nshards, func(n netsim.Node) int { return am[n.ID()] })
+		ss.assign = am
 	}
-	return am
+	ss.shards = net.Shards()
+	return ss
+}
+
+// start is the instance stage: one stack instance per shard, built from
+// that shard's base config.
+func (ss *shardSet) start(st Stack, net *netsim.Network, bases []transport.Config) {
+	ss.insts = make([]Instance, len(bases))
+	for s := range bases {
+		ss.insts[s] = st.New(net, bases[s])
+	}
+}
+
+// register is the registration stage for one flow. Every flow takes the
+// split path — AddPending on its source's shard instance, Adopt on its
+// destination's, which becomes its home — even when both are the same
+// instance, so no later flow's source-side install can stomp a host
+// handler another instance owns. It returns the flow and its source and
+// home shards.
+func (ss *shardSet) register(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) (f *transport.Flow, si, di int) {
+	si, di = ss.assign[src.ID()], ss.assign[dst.ID()]
+	f = ss.insts[si].AddPending(id, src, dst, size, unresponsive)
+	ss.insts[di].Adopt(f)
+	f.Home = int32(di)
+	return f, si, di
+}
+
+// release starts a registered flow at start from its source shard.
+func (ss *shardSet) release(f *transport.Flow, si int, start sim.Time) {
+	f.Released = true
+	f.Start = start
+	ss.insts[si].Release(f, start)
 }
 
 // flowsView gives the whole-network auditor's forensic dump the global

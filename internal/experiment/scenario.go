@@ -11,90 +11,80 @@ import (
 )
 
 // ScenarioHarness drives one of the small figure topologies
-// (topo.Scenario) at any engine-shard count. It mirrors the large-scale
-// runner's partitioning and split flow registration — each switch and
-// its hosts form one group, groups round-robin over shards, a flow's
-// sender side registers on its source's shard and its receiver side on
-// its destination's — so a sharded run produces byte-identical traces
-// to the single-engine figure functions (see docs/PARALLELISM.md and
-// the golden tests next to this file).
+// (topo.Scenario) at any engine-shard count. It runs the large-scale
+// runner's partition, instance and registration stages — hosts ride
+// with their access switch, a flow's sender side registers on its
+// source's shard and its receiver side on its destination's — so a
+// sharded run produces byte-identical traces to the single-engine one
+// (see docs/PARALLELISM.md and golden_shard_test.go).
 type ScenarioHarness struct {
 	S *topo.Scenario
+	*shardSet
 
-	shards []*netsim.Shard
-	assign map[netsim.NodeID]int
-	insts  []Instance
-	flows  []*transport.Flow
+	flows []*transport.Flow
+	cols  []*stats.FCTCollector
 
 	// Per-shard goodput trackers: a flow's tracker lives on its home
 	// (receiver) shard only, so no two engine goroutines share one.
 	trackers []map[netsim.FlowID]*stats.FlowThroughput
 }
 
-// NewScenarioHarness partitions the built scenario across nshards
-// engine shards and creates one stack instance per shard. nshards <= 1
-// leaves the network unpartitioned: the single-engine reference path,
-// driven through the identical split registration so the comparison is
-// apples-to-apples. window and ref parameterize the per-flow
-// normalized-goodput trackers exactly as the figures' trackFlows does;
-// names maps flow ID i+1 to names[i].
-func NewScenarioHarness(s *topo.Scenario, st Stack, base transport.Config, nshards int, window sim.Time, names []string) *ScenarioHarness {
-	if nshards <= 0 {
-		nshards = 1
-	}
-	h := &ScenarioHarness{S: s, assign: map[netsim.NodeID]int{}}
-	for i, sw := range s.Switches {
-		h.assign[sw.ID()] = i % nshards
-	}
-	hostShard := func(hh *netsim.Host) int {
-		return h.assign[hh.NIC().Link().To.ID()]
-	}
-	for _, hh := range s.Senders {
-		h.assign[hh.ID()] = hostShard(hh)
-	}
-	for _, hh := range s.Receivers {
-		h.assign[hh.ID()] = hostShard(hh)
-	}
-	if nshards > 1 {
-		s.Net.Partition(nshards, func(n netsim.Node) int { return h.assign[n.ID()] })
-	}
-	h.shards = s.Net.Shards()
+// NewScenarioHarness applies the stack's queues and marker to sc,
+// builds the scenario, partitions it across nshards engine shards
+// (nshards <= 1 is the single-engine reference path), and creates one
+// stack instance per shard from base. A positive window tracks each
+// flow's goodput, normalized to the link rate, in windows of that
+// length; names maps flow ID i+1 to the series name names[i].
+func NewScenarioHarness(st Stack, sc topo.ScenarioConfig, build func(topo.ScenarioConfig) *topo.Scenario, base transport.Config, nshards int, window sim.Time, names []string) *ScenarioHarness {
+	sc.SwitchQueue, sc.HostQueue, sc.Marker = st.SwitchQueue, st.HostQueue, st.Marker
+	s := build(sc)
+	hosts := append(append([]*netsim.Host(nil), s.Senders...), s.Receivers...)
+	h := &ScenarioHarness{S: s, shardSet: partition(s.Net, hosts, s.Switches, nshards)}
+	bases := make([]transport.Config, len(h.shards))
+	h.cols = make([]*stats.FCTCollector, len(h.shards))
 	h.trackers = make([]map[netsim.FlowID]*stats.FlowThroughput, len(h.shards))
-	h.insts = make([]Instance, len(h.shards))
-	for i := range h.shards {
+	for i := range bases {
 		i := i
+		h.cols[i] = stats.NewFCTCollector()
 		h.trackers[i] = map[netsim.FlowID]*stats.FlowThroughput{}
-		cfg := base
-		cfg.Shard = h.shards[i]
-		cfg.OnData = func(f *transport.Flow, pkt *netsim.Packet) {
+		bases[i] = base
+		bases[i].Shard = h.shards[i]
+		bases[i].Collector = h.cols[i]
+		if window <= 0 {
+			continue
+		}
+		bases[i].OnData = func(f *transport.Flow, pkt *netsim.Packet) {
 			tr := h.trackers[i][f.ID]
 			if tr == nil {
 				name := fmt.Sprintf("f%d", f.ID)
 				if int(f.ID-1) < len(names) && f.ID >= 1 {
 					name = names[f.ID-1]
 				}
-				tr = stats.NewFlowThroughput(name, window, s.Cfg.Rate)
+				tr = stats.NewFlowThroughput(name, window, sc.Rate)
 				h.trackers[i][f.ID] = tr
 			}
 			tr.OnBytes(h.shards[i].Eng().Now(), pkt.Size)
 		}
-		h.insts[i] = st.New(s.Net, cfg)
 	}
+	h.start(st, s.Net, bases)
 	return h
 }
 
-// AddFlow registers a flow through the split path — AddPending on the
-// source shard, Adopt on the home shard, Release on the source — and
-// returns it. At one shard this produces the exact event sequence of
-// the protocols' AddFlow convenience path.
+// scenarioBase is the transport config the scenario figures start
+// from: the scenarios' 100 µs base RTT.
+var scenarioBase = transport.Config{RTT: 100 * sim.Microsecond}
+
+// fanN builds a topo.NewFanN scenario with the given number of pairs.
+func fanN(pairs int) func(topo.ScenarioConfig) *topo.Scenario {
+	return func(sc topo.ScenarioConfig) *topo.Scenario { return topo.NewFanN(sc, pairs) }
+}
+
+// AddFlow registers a flow through the split path and releases it at
+// start. At one shard this produces the exact event sequence of the
+// protocols' AddFlow convenience path.
 func (h *ScenarioHarness) AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow {
-	si, di := h.assign[src.ID()], h.assign[dst.ID()]
-	f := h.insts[si].AddPending(id, src, dst, size, false)
-	h.insts[di].Adopt(f)
-	f.Released = true
-	f.Start = start
-	f.Home = int32(di)
-	h.insts[si].Release(f, start)
+	f, si, _ := h.register(id, src, dst, size, false)
+	h.release(f, si, start)
 	h.flows = append(h.flows, f)
 	return f
 }
@@ -115,8 +105,8 @@ func (h *ScenarioHarness) Run(horizon sim.Time) {
 	h.S.Net.Run(horizon)
 }
 
-// Flows returns the harness's flows in AddFlow order.
-func (h *ScenarioHarness) Flows() []*transport.Flow { return h.flows }
+// FCT merges the per-shard completion collectors.
+func (h *ScenarioHarness) FCT() *stats.FCTCollector { return stats.Merge(h.cols...) }
 
 // Series collects the per-flow goodput series in AddFlow order,
 // merging the per-shard tracker maps (each flow has at most one
@@ -124,10 +114,8 @@ func (h *ScenarioHarness) Flows() []*transport.Flow { return h.flows }
 func (h *ScenarioHarness) Series() []*stats.Series {
 	var out []*stats.Series
 	for _, f := range h.flows {
-		for _, m := range h.trackers {
-			if tr := m[f.ID]; tr != nil {
-				out = append(out, tr.Finish())
-			}
+		if tr := h.trackers[f.Home][f.ID]; tr != nil {
+			out = append(out, tr.Finish())
 		}
 	}
 	return out

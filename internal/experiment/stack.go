@@ -18,19 +18,17 @@ import (
 	"amrt/internal/transport"
 )
 
-// Instance is the protocol surface the harness drives; every registered
-// stack satisfies it, the flow lifecycle coming from the embedded
-// transport.Kernel. The runner creates one instance per engine shard: a
-// flow's sender side lives on its source's instance (AddFlow /
-// AddPending), its receiver side on its destination's (Adopt), and the
-// two coincide on single-shard runs.
+// Instance is the protocol surface the run pipeline drives; every
+// registered stack satisfies it, the flow lifecycle coming from the
+// embedded transport.Kernel. The runner and the scenario harness create
+// one instance per engine shard: a flow's sender side lives on its
+// source's instance (AddPending), its receiver side on its
+// destination's (Adopt), and the two coincide on single-shard runs.
 type Instance interface {
 	Name() string
-	AddFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow
-	AddUnresponsiveFlow(id netsim.FlowID, src, dst *netsim.Host, size int64, start sim.Time) *transport.Flow
-	// AddPending registers a dependent flow's sender side without
-	// scheduling a start; Release (on the same instance) starts it when
-	// the parent completes.
+	// AddPending registers a flow's sender side without scheduling a
+	// start; Release (on the same instance) starts it — at its spec start,
+	// or when a dependent flow's parent completes.
 	AddPending(id netsim.FlowID, src, dst *netsim.Host, size int64, unresponsive bool) *transport.Flow
 	Release(f *transport.Flow, start sim.Time)
 	// Adopt registers a flow created by another instance on this

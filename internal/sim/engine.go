@@ -25,24 +25,12 @@ const (
 	SchedulerHeap
 )
 
-// String returns the flag-friendly name ("wheel" or "heap").
+// String returns the scheduler's name, "wheel" or "heap".
 func (k SchedulerKind) String() string {
 	if k == SchedulerHeap {
 		return "heap"
 	}
 	return "wheel"
-}
-
-// ParseSchedulerKind parses "wheel" or "heap" (as accepted by the CLIs'
-// -sched flags).
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "wheel", "":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return SchedulerWheel, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", s)
 }
 
 // defaultScheduler is what NewEngine uses. Atomic because engines are
@@ -55,8 +43,7 @@ func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Lo
 
 // SetDefaultScheduler changes the scheduler NewEngine uses. It does not
 // affect engines that already exist; callers flipping it around a run
-// (the golden-trace tests, the CLIs' -sched flags) should restore it
-// afterwards.
+// (the golden-trace tests) should restore it afterwards.
 func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(int32(k)) }
 
 // scheduler is the event-queue contract shared by the timing wheel and

@@ -377,7 +377,7 @@ func (sc SweepConfig) pointConfig(p campaign.Point) (Config, error) {
 	c := sc.Base
 	c.Protocol = p.Protocol
 	// The shared Base options are narrowed to each leg's own fields,
-	// exactly as Compare does: a grid spanning Homa and SIRD may carry
+	// exactly as CompareContext does: a grid spanning Homa and SIRD may carry
 	// knobs for both without tripping ErrBadStackOption on either.
 	c.Options = optionsFromInternal(experiment.NarrowOptions(p.Protocol, sc.Base.Options.internal()))
 	c.Workload = p.Workload
@@ -420,6 +420,12 @@ func sweepKey(c Config) string {
 	if err != nil {
 		panic(fmt.Sprintf("amrt: validated topology failed to resolve: %v", err))
 	}
+	// An unset degree keys as Homa's default, so it shares cache entries
+	// with an explicit 2.
+	homaDegree := c.Options.HomaDegree
+	if homaDegree == 0 {
+		homaDegree = 2
+	}
 	return campaign.Key(SimVersion,
 		"protocol="+c.Protocol,
 		"workload="+c.Workload,
@@ -435,9 +441,7 @@ func sweepKey(c Config) string {
 		"rpcrequest="+strconv.FormatInt(c.RPCRequestBytes, 10),
 		"rpcresponse="+strconv.FormatInt(c.RPCResponseBytes, 10),
 		"rpcdeadline="+strconv.FormatInt(c.RPCDeadline.Nanoseconds(), 10),
-		// The effective degree, not the raw fields: the deprecated
-		// HomaDegree alias and Options.HomaDegree cache identically.
-		"homadegree="+strconv.Itoa(c.stackOptions().HomaDegree),
+		"homadegree="+strconv.Itoa(homaDegree),
 		"sirdpool="+strconv.FormatInt(c.Options.SIRDPoolBytes, 10),
 		"sirdstaleness="+strconv.Itoa(c.Options.SIRDStalenessRTTs),
 		"timeout="+strconv.FormatInt(c.Timeout.Nanoseconds(), 10),
