@@ -227,6 +227,15 @@ func BenchmarkShardScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkPortHop measures one packet crossing one port hop: ns and
+// allocs per hop. The body lives in internal/benchcases.
+func BenchmarkPortHop(b *testing.B) { benchcases.PortHop(b) }
+
+// BenchmarkBarrierRound measures one 2-shard synchronization window
+// carrying one cross-shard delivery. The body lives in
+// internal/benchcases.
+func BenchmarkBarrierRound(b *testing.B) { benchcases.BarrierRound(b) }
+
 // BenchmarkFaultInjection measures the v9 fault layer's overhead on
 // the sharded engine: a k=4 fat-tree incast with a periodic flap plus
 // bursty loss, at 1 and 4 shards. The body lives in

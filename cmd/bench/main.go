@@ -3,14 +3,16 @@
 // -bench` at the repo root) with their fixed seeds, records ns/op,
 // allocs/op, B/op, and each case's custom metrics (events/sec, figure
 // headline numbers), writes BENCH_<date>.json, and compares against the
-// most recent previous BENCH_*.json, warning when a case regresses by
-// more than -threshold.
+// most recent previous BENCH_*.json. The comparison warns when a case's
+// ns/op or allocs/op regresses by more than -threshold, and fails (exit
+// status 1) when a figure canary — any custom metric that is not a
+// per-second rate — differs from the previous file in value or presence.
 //
 // Usage:
 //
 //	bench                          # run all cases, write BENCH_<today>.json, compare
 //	bench -cases 'Fig09|Throughput'
-//	bench -threshold 0.05 -strict  # exit non-zero on regression
+//	bench -threshold 0.05 -strict  # exit non-zero on timing/alloc regression too
 //	bench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	bench -lint                    # godoc/lint pass over the core packages
 //	bench -docscheck               # verify docs/ references real Go identifiers
@@ -28,6 +30,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,11 +177,11 @@ func main() {
 		fmt.Println("no previous BENCH_*.json to compare against")
 		return
 	}
-	regressed, err := compare(prevPath, file, *threshold)
+	regressed, canaryMoved, err := compare(prevPath, file, *threshold)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if regressed && *strict {
+	if canaryMoved || (regressed && *strict) {
 		os.Exit(1)
 	}
 }
@@ -200,23 +203,25 @@ func newestBenchFile(dir, exclude string) string {
 	return ""
 }
 
-// compare prints a per-case delta table against the previous file and
-// reports whether any case regressed beyond the threshold.
-func compare(prevPath string, cur benchFile, threshold float64) (bool, error) {
+// compare prints a per-case delta table against the previous file. It
+// reports whether any case's ns/op or allocs/op regressed beyond the
+// threshold (advisory: wall clock is noisy) and whether any figure
+// canary moved (a broken run: a faster simulator must compute the same
+// figures).
+func compare(prevPath string, cur benchFile, threshold float64) (regressed, canaryMoved bool, err error) {
 	raw, err := os.ReadFile(prevPath)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	var prev benchFile
 	if err := json.Unmarshal(raw, &prev); err != nil {
-		return false, fmt.Errorf("%s: %v", prevPath, err)
+		return false, false, fmt.Errorf("%s: %v", prevPath, err)
 	}
 	prevBy := make(map[string]benchCase, len(prev.Cases))
 	for _, c := range prev.Cases {
 		prevBy[c.Name] = c
 	}
 	fmt.Printf("comparison vs %s (threshold %.0f%%):\n", prevPath, threshold*100)
-	regressed := false
 	for _, c := range cur.Cases {
 		p, ok := prevBy[c.Name]
 		if !ok {
@@ -231,12 +236,47 @@ func compare(prevPath string, cur benchFile, threshold float64) (bool, error) {
 			regressed = true
 		}
 		fmt.Printf("  %-40s time %+6.1f%%  allocs %+6.1f%%%s\n", c.Name, dt*100, da*100, mark)
+		for _, d := range canaryDiffs(p.Metrics, c.Metrics) {
+			fmt.Printf("  %-40s << CANARY %s\n", "", d)
+			canaryMoved = true
+		}
 	}
 	if regressed {
 		fmt.Fprintf(os.Stderr, "bench: regression beyond %.0f%% detected\n", threshold*100)
 	}
-	return regressed, nil
+	if canaryMoved {
+		fmt.Fprintf(os.Stderr, "bench: figure canary changed vs %s\n", prevPath)
+	}
+	return regressed, canaryMoved, nil
 }
+
+// canaryDiffs compares two metric maps exactly on their canary keys —
+// every metric except per-second rates, which measure wall clock — and
+// describes each key whose value differs or that only one side has.
+func canaryDiffs(prev, cur map[string]float64) []string {
+	var diffs []string
+	for k, pv := range prev {
+		if isRate(k) {
+			continue
+		}
+		if cv, ok := cur[k]; !ok {
+			diffs = append(diffs, fmt.Sprintf("%s missing (was %v)", k, pv))
+		} else if cv != pv {
+			diffs = append(diffs, fmt.Sprintf("%s %v -> %v", k, pv, cv))
+		}
+	}
+	for k, cv := range cur {
+		if _, ok := prev[k]; !ok && !isRate(k) {
+			diffs = append(diffs, fmt.Sprintf("%s new (%v)", k, cv))
+		}
+	}
+	sort.Strings(diffs)
+	return diffs
+}
+
+// isRate reports whether a metric unit is a per-second rate such as
+// events/s: a wall-clock measurement, not a canary.
+func isRate(unit string) bool { return strings.HasSuffix(unit, "/s") }
 
 // rel returns (cur-prev)/prev, or 0 when prev is 0.
 func rel(cur, prev float64) float64 {

@@ -12,6 +12,7 @@ import (
 
 	"amrt/internal/experiment"
 	"amrt/internal/faults"
+	"amrt/internal/netsim"
 	"amrt/internal/sim"
 	"amrt/internal/topo"
 	"amrt/internal/workload"
@@ -25,7 +26,8 @@ type Case struct {
 }
 
 // All returns the harness case list: the end-to-end figure workloads
-// that exercise the engine/netsim/transport hot path, at fixed seeds.
+// that exercise the engine/netsim/transport hot path, at fixed seeds,
+// and the layer microbenchmarks of the network layer.
 func All() []Case {
 	return []Case{
 		{"Fig01MultiBottleneck/pHost", Fig01("pHost")},
@@ -41,6 +43,8 @@ func All() []Case {
 		{"ShardScaling/fattree-incast/shards=8", ShardScaling(8)},
 		{"FaultInjection/fattree-incast/shards=1", FaultInjection(1)},
 		{"FaultInjection/fattree-incast/shards=4", FaultInjection(4)},
+		{"PortHop", PortHop},
+		{"BarrierRound", BarrierRound},
 	}
 }
 
@@ -191,5 +195,71 @@ func ShardScaling(nshards int) func(b *testing.B) {
 			events += res.Events
 		}
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	}
+}
+
+// hostLink builds two hosts joined by one 10 Gb/s, 1 µs link with
+// drop-tail queues.
+func hostLink() (n *netsim.Network, a, b *netsim.Host) {
+	n = netsim.New()
+	a, b = n.NewHost("a"), n.NewHost("b")
+	n.Connect(a, b, 10*sim.Gbps, sim.Microsecond, netsim.NewDropTail(64), netsim.NewDropTail(64))
+	return n, a, b
+}
+
+// sendOne hands one pooled packet of size bytes from a to b's NIC queue.
+func sendOne(a, b *netsim.Host, size int) {
+	pkt := netsim.NewPacket()
+	pkt.Flow, pkt.Type, pkt.Size, pkt.Prio = 1, netsim.Data, size, netsim.PrioData
+	pkt.Src, pkt.Dst = a.ID(), b.ID()
+	a.Send(pkt)
+}
+
+// PortHop is the per-hop layer microbenchmark: one op is one MSS packet
+// crossing one port hop — enqueue, dequeue, serialization, transmission
+// completion, propagation and delivery to the far host — on a single
+// engine. ns/op and allocs/op are the cost of a hop.
+func PortHop(b *testing.B) {
+	n, src, dst := hostLink()
+	got := 0
+	dst.Handler = func(*netsim.Packet) { got++ }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sendOne(src, dst, netsim.MSS)
+		n.Run(sim.Forever)
+	}
+	if got != b.N {
+		b.Fatalf("delivered %d of %d packets", got, b.N)
+	}
+}
+
+// BarrierRound is the shard-barrier layer microbenchmark: the two ends
+// of one link on two shards, a small packet sent every lookahead, so
+// one op is one synchronization window carrying one cross-shard
+// delivery through the outbox. ns/op is the cost of a barrier round.
+func BarrierRound(b *testing.B) {
+	n, src, dst := hostLink()
+	n.Partition(2, func(node netsim.Node) int {
+		if node == dst {
+			return 1
+		}
+		return 0
+	})
+	got := 0
+	dst.Handler = func(*netsim.Packet) { got++ }
+	eng := src.Shard().Eng()
+	sent := 0
+	var send func()
+	send = func() {
+		sendOne(src, dst, 64)
+		if sent++; sent < b.N {
+			eng.Schedule(n.Lookahead(), send)
+		}
+	}
+	eng.Schedule(0, send)
+	b.ResetTimer()
+	n.Run(sim.Forever)
+	if got != b.N {
+		b.Fatalf("delivered %d of %d packets", got, b.N)
 	}
 }

@@ -139,12 +139,12 @@ type Protocol struct {
 
 type grantPacer struct {
 	pacer *transport.Pacer
-	queue []*netsim.Packet
+	queue transport.FIFO[*netsim.Packet]
 }
 
 type recPacer struct {
 	pacer *transport.Pacer
-	queue []recReq
+	queue transport.FIFO[recReq]
 }
 
 type recReq struct {
@@ -254,13 +254,12 @@ func (p *Protocol) GrantAuthority() int64 {
 // the host, so the lookups are nil everywhere else.
 func (p *Protocol) flushPacers(h *netsim.Host, _ []*transport.Flow) {
 	if gp := p.grantPacers[h.ID()]; gp != nil {
-		for _, g := range gp.queue {
-			netsim.ReleasePacket(g)
+		for gp.queue.Len() > 0 {
+			netsim.ReleasePacket(gp.queue.Pop())
 		}
-		gp.queue = gp.queue[:0]
 	}
 	if rp := p.recPacers[h.ID()]; rp != nil {
-		rp.queue = rp.queue[:0]
+		rp.queue.Clear()
 	}
 }
 
@@ -363,17 +362,15 @@ func (p *Protocol) sendGrantPaced(h *netsim.Host, g *netsim.Packet) {
 		gp = &grantPacer{}
 		tick := h.LinkRate().TxTime(p.Cfg.MSS)
 		gp.pacer = transport.NewPacer(p.Engine(), tick, func() bool {
-			if len(gp.queue) == 0 {
+			if gp.queue.Len() == 0 {
 				return false
 			}
-			out := gp.queue[0]
-			gp.queue = gp.queue[1:]
-			h.Send(out)
+			h.Send(gp.queue.Pop())
 			return true
 		})
 		p.grantPacers[h.ID()] = gp
 	}
-	gp.queue = append(gp.queue, g)
+	gp.queue.Push(g)
 	gp.pacer.Kick()
 }
 
@@ -432,7 +429,7 @@ func (p *Protocol) onTimeout(r *receiver) {
 			continue // retransmission still plausibly in flight
 		}
 		r.inRecovery[seq] = true
-		rp.queue = append(rp.queue, recReq{r: r, seq: seq})
+		rp.queue.Push(recReq{r: r, seq: seq})
 		queued++
 	}
 	if queued > 0 {
@@ -462,9 +459,8 @@ func (p *Protocol) recPacerFor(h *netsim.Host) *recPacer {
 // emitRecovery reissues one queued recovery grant, skipping requests
 // that were satisfied while waiting.
 func (p *Protocol) emitRecovery(rp *recPacer) bool {
-	for len(rp.queue) > 0 {
-		req := rp.queue[0]
-		rp.queue = rp.queue[1:]
+	for rp.queue.Len() > 0 {
+		req := rp.queue.Pop()
 		delete(req.r.inRecovery, req.seq)
 		if req.r.f.Done || req.r.rcvd.Get(req.seq) {
 			continue

@@ -69,7 +69,7 @@ type Protocol struct {
 type sender struct {
 	f    *transport.Flow
 	next int32
-	rtx  []int32 // NACKed sequences awaiting a pull
+	rtx  transport.FIFO[int32] // NACKed sequences awaiting a pull
 }
 
 type rcvFlow struct {
@@ -91,7 +91,7 @@ type rcvFlow struct {
 type puller struct {
 	host  *netsim.Host
 	pacer *transport.Pacer
-	queue []*rcvFlow // FIFO of flows owed one pull each
+	queue transport.FIFO[*rcvFlow] // flows owed one pull each
 }
 
 // New creates an NDP instance on the network.
@@ -142,7 +142,7 @@ func (p *Protocol) GrantAuthority() int64 {
 // forgotten bitmaps.
 func (p *Protocol) flushPuller(h *netsim.Host, _ []*transport.Flow) {
 	if pl := p.pullers[h.ID()]; pl != nil {
-		pl.queue = pl.queue[:0]
+		pl.queue.Clear()
 	}
 }
 
@@ -166,12 +166,11 @@ func (p *Protocol) onSenderPkt(pkt *netsim.Packet) {
 	case netsim.Nack:
 		// The named packet was trimmed: queue it for retransmission on
 		// the next pull.
-		s.rtx = append(s.rtx, pkt.Seq)
+		s.rtx.Push(pkt.Seq)
 	case netsim.Pull:
 		// One pull, one packet: retransmissions first, then new data.
-		if len(s.rtx) > 0 {
-			seq := s.rtx[0]
-			s.rtx = s.rtx[1:]
+		if s.rtx.Len() > 0 {
+			seq := s.rtx.Pop()
 			s.f.Src.Send(p.NewData(s.f, seq, netsim.PrioData))
 			return
 		}
@@ -272,7 +271,7 @@ func (p *Protocol) enqueuePull(r *rcvFlow) {
 	}
 	r.pullBudget--
 	pl := p.pullerOf(r.f.Dst)
-	pl.queue = append(pl.queue, r)
+	pl.queue.Push(r)
 	pl.pacer.Kick()
 }
 
@@ -288,9 +287,8 @@ func (p *Protocol) pullerOf(h *netsim.Host) *puller {
 }
 
 func (p *Protocol) emitPull(pl *puller) bool {
-	for len(pl.queue) > 0 {
-		r := pl.queue[0]
-		pl.queue = pl.queue[1:]
+	for pl.queue.Len() > 0 {
+		r := pl.queue.Pop()
 		if r.f.Done {
 			continue
 		}
@@ -325,7 +323,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 			r.f.Dst.Send(n)
 			p.NacksSent++
 			pl := p.pullerOf(r.f.Dst)
-			pl.queue = append(pl.queue, r)
+			pl.queue.Push(r)
 			pl.pacer.Kick()
 			issued++
 		}
@@ -345,7 +343,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 		if unsent > 0 {
 			pl := p.pullerOf(r.f.Dst)
 			for i := 0; i < unsent; i++ {
-				pl.queue = append(pl.queue, r)
+				pl.queue.Push(r)
 			}
 			p.PullsReplenished += int64(unsent)
 			pl.pacer.Kick()

@@ -129,11 +129,25 @@ func (s *Shard) Eng() *sim.Engine { return s.eng }
 func (s *Shard) Network() *Network { return s.net }
 
 // xrec is one cross-shard record: an event to schedule on the target
-// shard at a timestamped, deterministically keyed position.
+// shard at a timestamped, deterministically keyed position. A delivery
+// carries data — the source port, whose link the packet crosses, and the
+// packet — and becomes a typed event at the barrier; only Signal records
+// carry a closure.
 type xrec struct {
-	at  sim.Time
-	key uint64
-	fn  func()
+	at   sim.Time
+	key  uint64
+	port *Port
+	pkt  *Packet
+	fn   func()
+}
+
+// schedule places the record on the destination shard's engine.
+func (r *xrec) schedule(eng *sim.Engine) {
+	if r.fn != nil {
+		eng.ScheduleKeyed(r.at, r.key, r.fn)
+		return
+	}
+	eng.ScheduleKeyedHandler(r.at, r.key, (*pipedLink)(&r.port.link), r.pkt)
 }
 
 // New returns an empty network on a fresh engine, with a single shard.

@@ -164,8 +164,8 @@ func (n *Network) runWindows(until sim.Time) sim.Time {
 					continue
 				}
 				dst := n.shards[d].eng
-				for _, r := range recs {
-					dst.ScheduleKeyed(r.at, r.key, r.fn)
+				for i := range recs {
+					recs[i].schedule(dst)
 				}
 				s.out[d] = recs[:0]
 			}

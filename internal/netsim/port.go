@@ -59,6 +59,8 @@ type Port struct {
 	degraded sim.Rate
 
 	busy bool
+	// txSize is the size of the packet serializing, valid while busy.
+	txSize int64
 	// lastTxEnd is when the previous transmission finished; the anti-ECN
 	// marker compares the current dequeue instant against it to measure
 	// the idle gap. everSent distinguishes a genuinely idle port.
@@ -197,32 +199,12 @@ func (p *Port) trySend() {
 	}
 	tx := p.EffectiveRate().TxTime(pkt.Size)
 	p.busy = true
+	p.txSize = int64(pkt.Size)
 	sh.OnWire++
-	// The completion closure must not touch pkt: at zero propagation
+	// The completion (Fire) must not touch pkt: at zero propagation
 	// delay the delivery below fires at the same instant, and once the
 	// destination host recycles the packet its fields are gone.
-	size := int64(pkt.Size)
-	dst := p.link.To
-	dsh := shardOf(dst)
-	cross := dsh != sh
-	eng.Schedule(tx, func() {
-		p.busy = false
-		p.lastTxEnd = eng.Now()
-		p.everSent = true
-		p.TxPackets++
-		p.TxBytes += size
-		if m := p.Monitor; m != nil {
-			m.noteTx(size, eng.Now())
-		}
-		if cross {
-			// Hand wire custody to the destination shard: the packet is
-			// "piped out" of this shard's conservation domain and "piped
-			// in" on arrival at the other side.
-			sh.OnWire--
-			sh.PipedOut++
-		}
-		p.trySend()
-	})
+	eng.ScheduleHandler(now+tx, p, nil)
 	// Deliveries are keyed by (linkID, per-port sequence) so that
 	// same-instant arrivals dispatch in an order determined by the
 	// topology and traffic alone — identical at every shard count.
@@ -232,19 +214,60 @@ func (p *Port) trySend() {
 	}
 	key := p.linkID<<linkSeqBits | p.linkSeq
 	p.linkSeq++
-	if !cross {
-		eng.ScheduleKeyed(at, key, func() {
-			sh.OnWire--
-			pkt.Hops++
-			dst.Receive(pkt)
-		})
+	dsh := shardOf(p.link.To)
+	if dsh == sh {
+		eng.ScheduleKeyedHandler(at, key, &p.link, pkt)
 		return
 	}
-	sh.out[dsh.idx] = append(sh.out[dsh.idx], xrec{at: at, key: key, fn: func() {
-		dsh.PipedIn++
-		pkt.Hops++
-		dst.Receive(pkt)
-	}})
+	sh.out[dsh.idx] = append(sh.out[dsh.idx], xrec{at: at, key: key, port: p, pkt: pkt})
+}
+
+// Fire implements sim.Handler: it is the end of the current
+// transmission, scheduled by the port itself when serialization starts.
+// It reads only port state (the in-flight size is kept in txSize), then
+// starts the next transmission.
+func (p *Port) Fire(any) {
+	sh := p.shard
+	now := sh.eng.Now()
+	p.busy = false
+	p.lastTxEnd = now
+	p.everSent = true
+	p.TxPackets++
+	p.TxBytes += p.txSize
+	if m := p.Monitor; m != nil {
+		m.noteTx(p.txSize, now)
+	}
+	if shardOf(p.link.To) != sh {
+		// Hand wire custody to the destination shard: the packet is
+		// "piped out" of this shard's conservation domain and "piped
+		// in" on arrival at the other side.
+		sh.OnWire--
+		sh.PipedOut++
+	}
+	p.trySend()
+}
+
+// Fire implements sim.Handler: it delivers the packet arg at the far end
+// of a link whose two ends share a shard.
+func (l *Link) Fire(arg any) {
+	pkt := arg.(*Packet)
+	shardOf(l.To).OnWire--
+	pkt.Hops++
+	l.To.Receive(pkt)
+}
+
+// pipedLink is a link seen from its destination shard: the handler of a
+// cross-shard delivery, which the barrier schedules from an outbox
+// record. The packet enters the destination's conservation domain
+// (PipedIn) instead of leaving the wire.
+type pipedLink Link
+
+// Fire implements sim.Handler.
+func (l *pipedLink) Fire(arg any) {
+	pkt := arg.(*Packet)
+	shardOf(l.To).PipedIn++
+	pkt.Hops++
+	l.To.Receive(pkt)
 }
 
 // jitter draws this port's per-delivery propagation jitter in

@@ -104,12 +104,12 @@ const (
 	SubObserver uint64 = 1 << 32
 )
 
-// Engine is a discrete-event simulation engine. Events are closures
-// scheduled at virtual times; Run executes them in time order, breaking
-// ties by scheduling order (FIFO), which makes every run fully
-// deterministic: the dispatch sequence is a pure function of the
-// schedule calls, never of the scheduler implementation, map iteration,
-// or wall-clock time.
+// Engine is a discrete-event simulation engine. Events are closures or
+// typed handlers (see Handler) scheduled at virtual times; Run executes
+// them in time order, breaking ties by scheduling order (FIFO), which
+// makes every run fully deterministic: the dispatch sequence is a pure
+// function of the schedule calls, never of the scheduler
+// implementation, map iteration, or wall-clock time.
 //
 // An Engine must be driven from a single goroutine. Executed events are
 // recycled on an internal free list, so steady-state scheduling does not
@@ -179,17 +179,17 @@ func (e *Engine) Schedule(delay Time, fn func()) Timer {
 // is allowed and runs fn after all events already scheduled for that
 // time.
 func (e *Engine) ScheduleAt(at Time, fn func()) Timer {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	if fn == nil {
-		panic("sim: schedule nil func")
-	}
-	ev := e.newEvent()
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
+	return e.ScheduleHandler(at, funcOf(fn), nil)
+}
+
+// ScheduleHandler is ScheduleAt for a typed event: h.Fire(arg) runs at
+// absolute time at, in the same FIFO order ScheduleAt uses. It is the
+// hot-path form: h and arg are stored in the pooled event, so when both
+// are pointers nothing is allocated.
+func (e *Engine) ScheduleHandler(at Time, h Handler, arg any) Timer {
+	t := e.scheduleSeq(at, e.seq, h, arg)
 	e.seq++
-	e.sched.schedule(ev, e.now)
-	return Timer{ev: ev, gen: ev.gen, at: at}
+	return t
 }
 
 // ScheduleKeyed runs fn at absolute time at, ordered among same-time
@@ -200,10 +200,16 @@ func (e *Engine) ScheduleAt(at Time, fn func()) Timer {
 // duplicate pairs would leave the dispatch order of the two events up to
 // the scheduler implementation.
 func (e *Engine) ScheduleKeyed(at Time, key uint64, fn func()) Timer {
+	return e.ScheduleKeyedHandler(at, key, funcOf(fn), nil)
+}
+
+// ScheduleKeyedHandler is ScheduleKeyed for a typed event: h.Fire(arg)
+// runs at (at, key).
+func (e *Engine) ScheduleKeyedHandler(at Time, key uint64, h Handler, arg any) Timer {
 	if key >= seqAuto {
 		panic(fmt.Sprintf("sim: keyed seq %#x reaches the auto band", key))
 	}
-	return e.scheduleSeq(at, key, fn)
+	return e.scheduleSeq(at, key, h, arg)
 }
 
 // ScheduleLate runs fn at absolute time at, after every arrival, signal,
@@ -215,18 +221,18 @@ func (e *Engine) ScheduleLate(at Time, sub uint64, fn func()) Timer {
 	if sub >= SeqSignal {
 		panic(fmt.Sprintf("sim: late subkey %#x overflows the late band", sub))
 	}
-	return e.scheduleSeq(at, SeqLate|sub, fn)
+	return e.scheduleSeq(at, SeqLate|sub, funcOf(fn), nil)
 }
 
-func (e *Engine) scheduleSeq(at Time, seq uint64, fn func()) Timer {
+func (e *Engine) scheduleSeq(at Time, seq uint64, h Handler, arg any) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	if fn == nil {
-		panic("sim: schedule nil func")
+	if h == nil {
+		panic("sim: schedule nil handler")
 	}
 	ev := e.newEvent()
-	ev.at, ev.seq, ev.fn = at, seq, fn
+	ev.at, ev.seq, ev.h, ev.arg = at, seq, h, arg
 	e.sched.schedule(ev, e.now)
 	return Timer{ev: ev, gen: ev.gen, at: at}
 }
@@ -251,10 +257,11 @@ func (e *Engine) newEvent() *event {
 }
 
 // recycle invalidates outstanding Timer handles (generation bump),
-// releases the closure, and returns the event to the free list.
+// releases the handler and operand, and returns the event to the free
+// list.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.h, ev.arg = nil, nil
 	ev.cancelled = false
 	e.free = append(e.free, ev)
 }
@@ -284,9 +291,9 @@ func (e *Engine) Run(until Time) Time {
 		if ev.seq >= SeqLate {
 			e.ExecutedLate++
 		}
-		fn := ev.fn
+		h, arg := ev.h, ev.arg
 		e.recycle(ev)
-		fn()
+		h.Fire(arg)
 		if e.interrupt != nil {
 			if e.interruptLeft--; e.interruptLeft == 0 {
 				e.interruptLeft = e.interruptEvery
@@ -354,7 +361,7 @@ func (t *Timer) Cancel() bool {
 		return false
 	}
 	t.ev.cancelled = true
-	t.ev.fn = nil // release closure for GC
+	t.ev.h, t.ev.arg = nil, nil // release for GC
 	return true
 }
 
@@ -366,14 +373,43 @@ func (t *Timer) Active() bool {
 	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled
 }
 
-// event is a scheduled callback. Events are pooled: after dispatch (or
-// drain of a cancelled event) the engine bumps gen and reuses the
+// Handler is the target of a typed event: Fire runs when the event
+// dispatches, with the operand the event was scheduled with. The
+// per-packet events of the network layer are typed — a port is the
+// handler of its own transmission completion, a link the handler of a
+// delivery with the packet as operand — so a packet hop allocates
+// nothing, where a closure capturing the same values would allocate per
+// schedule.
+type Handler interface {
+	Fire(arg any)
+}
+
+// funcHandler adapts a plain callback to Handler, so Schedule's
+// closures and typed events share one dispatch path. A func value is
+// pointer-shaped, so the conversion does not allocate.
+type funcHandler func()
+
+// Fire implements Handler.
+func (f funcHandler) Fire(any) { f() }
+
+// funcOf wraps fn as a Handler, rejecting nil (a nil func would
+// otherwise become a non-nil Handler that panics only at dispatch).
+func funcOf(fn func()) Handler {
+	if fn == nil {
+		panic("sim: schedule nil func")
+	}
+	return funcHandler(fn)
+}
+
+// event is a scheduled handler call. Events are pooled: after dispatch
+// (or drain of a cancelled event) the engine bumps gen and reuses the
 // struct, so nothing outside the engine may retain an *event without
 // also holding the generation it was issued at (Timer does).
 type event struct {
 	at        Time
 	seq       uint64
-	fn        func()
+	h         Handler
+	arg       any
 	gen       uint32
 	cancelled bool
 }

@@ -204,7 +204,7 @@ type poolState struct {
 	// fresh credit instead of bursting out of the timeout scan. Served
 	// ahead of fresh grants and exempt from the pool bound — the lost
 	// packet's charge is still outstanding.
-	recovery []recReq
+	recovery transport.FIFO[recReq]
 }
 
 type recReq struct {
@@ -470,9 +470,8 @@ func (p *Protocol) weight(r *rcvFlow, now sim.Time) int64 {
 func (p *Protocol) emitGrant(ps *poolState) bool {
 	// Recovery first: a declared-lost packet already holds pool credit,
 	// so re-requesting it neither charges the pool nor waits behind it.
-	for len(ps.recovery) > 0 {
-		req := ps.recovery[0]
-		ps.recovery = ps.recovery[1:]
+	for ps.recovery.Len() > 0 {
+		req := ps.recovery.Pop()
 		if req.r.f.Done || p.receivers[req.r.f.ID] != req.r || req.r.rcvd.Get(req.seq) {
 			continue // satisfied or torn down while queued
 		}
@@ -546,7 +545,7 @@ func (p *Protocol) onTimeout(r *rcvFlow) {
 			continue // retransmission still plausibly in flight
 		}
 		r.reissuedAt[seq] = now
-		ps.recovery = append(ps.recovery, recReq{r: r, seq: seq})
+		ps.recovery.Push(recReq{r: r, seq: seq})
 		issued++
 	}
 	if issued > 0 {

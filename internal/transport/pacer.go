@@ -33,10 +33,12 @@ func (p *Pacer) Kick() {
 	if now := p.eng.Now(); at < now {
 		at = now
 	}
-	p.timer = p.eng.ScheduleAt(at, p.fire)
+	p.timer = p.eng.ScheduleHandler(at, p, nil)
 }
 
-func (p *Pacer) fire() {
+// Fire implements sim.Handler: the pacer is the handler of its own
+// scheduled emission, so Kick allocates nothing.
+func (p *Pacer) Fire(any) {
 	if p.emit() {
 		p.last = p.eng.Now()
 		p.Kick()

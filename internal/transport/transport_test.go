@@ -295,3 +295,96 @@ func TestFlowString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// Kick schedules the pacer itself as the event handler, so kicking an
+// idle pacer allocates nothing.
+func TestPacerKickAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine()
+	emitted := 0
+	p := NewPacer(e, 10*sim.Microsecond, func() bool {
+		emitted++
+		return emitted%2 == 1 // one emission, then idle
+	})
+	kick := func() {
+		p.Kick()
+		e.RunAll()
+	}
+	// Warm the event free list and a level-1 rotation (4.2 ms) of the
+	// timing wheel's buckets.
+	for i := 0; i < 300; i++ {
+		kick()
+	}
+	if a := testing.AllocsPerRun(100, kick); a != 0 {
+		t.Errorf("Kick: %v allocs, want 0", a)
+	}
+	if want := 2 * 401; emitted != want { // AllocsPerRun adds a warm-up run
+		t.Errorf("emit ran %d times, want %d", emitted, want)
+	}
+}
+
+// FIFO pops in push order across buffer reuse, compaction and growth,
+// zeroes popped slots, and reaches a steady state without allocating.
+func TestFIFO(t *testing.T) {
+	var q FIFO[*int]
+	var ref []*int
+	vals := make([]*int, 1000)
+	for i := range vals {
+		vals[i] = new(int)
+	}
+	next := 0
+	for step := 0; step < 5000; step++ {
+		// Push two, pop one for a while, then drain: the queue grows,
+		// compacts, and empties repeatedly.
+		if step%700 < 500 {
+			for j := 0; j < 2; j++ {
+				v := vals[next%len(vals)]
+				next++
+				q.Push(v)
+				ref = append(ref, v)
+			}
+		}
+		if q.Len() != len(ref) {
+			t.Fatalf("step %d: Len %d, want %d", step, q.Len(), len(ref))
+		}
+		if len(ref) > 0 {
+			if got := q.Pop(); got != ref[0] {
+				t.Fatalf("step %d: popped out of order", step)
+			}
+			ref = ref[1:]
+		}
+	}
+	for i := 0; i < q.head; i++ {
+		if q.buf[i] != nil {
+			t.Fatalf("popped slot %d still pins its item", i)
+		}
+	}
+	q.Clear()
+	if q.Len() != 0 {
+		t.Fatalf("Len after Clear = %d", q.Len())
+	}
+	for _, v := range q.buf[:cap(q.buf)] {
+		if v != nil {
+			t.Fatal("Clear left an item pinned")
+		}
+	}
+	// A standing queue that never drains slides its items down to the
+	// front of the buffer instead of growing it.
+	var sq FIFO[*int]
+	v := vals[0]
+	for i := 0; i < 16; i++ {
+		sq.Push(v)
+	}
+	steady := func() {
+		for i := 0; i < 64; i++ {
+			sq.Push(v)
+			sq.Pop()
+		}
+	}
+	steady()
+	if a := testing.AllocsPerRun(100, steady); a != 0 {
+		t.Errorf("steady push/pop: %v allocs, want 0", a)
+	}
+	if sq.Len() != 16 || cap(sq.buf) > 64 {
+		t.Errorf("standing queue of %d grew its buffer to %d", sq.Len(), cap(sq.buf))
+	}
+}
