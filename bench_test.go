@@ -236,6 +236,11 @@ func BenchmarkPortHop(b *testing.B) { benchcases.PortHop(b) }
 // internal/benchcases.
 func BenchmarkBarrierRound(b *testing.B) { benchcases.BarrierRound(b) }
 
+// BenchmarkRouteInstall measures building a k=16 fat-tree with its
+// shortest-path ECMP routes: ns and allocs per build. The body lives in
+// internal/benchcases.
+func BenchmarkRouteInstall(b *testing.B) { benchcases.RouteInstall(b) }
+
 // BenchmarkFaultInjection measures the v9 fault layer's overhead on
 // the sharded engine: a k=4 fat-tree incast with a periodic flap plus
 // bursty loss, at 1 and 4 shards. The body lives in

@@ -45,6 +45,7 @@ func All() []Case {
 		{"FaultInjection/fattree-incast/shards=4", FaultInjection(4)},
 		{"PortHop", PortHop},
 		{"BarrierRound", BarrierRound},
+		{"RouteInstall", RouteInstall},
 	}
 }
 
@@ -261,5 +262,18 @@ func BarrierRound(b *testing.B) {
 	n.Run(sim.Forever)
 	if got != b.N {
 		b.Fatalf("delivered %d of %d packets", got, b.N)
+	}
+}
+
+// RouteInstall is the route-install layer microbenchmark: one op builds
+// a k=16 fat-tree (1024 hosts, 320 switches) with topo.NewFatTree,
+// shortest-path ECMP routes included — the set-up cost every sweep cell
+// on that fabric pays. allocs/op is the number to watch.
+func RouteInstall(b *testing.B) {
+	cfg := topo.DefaultFatTree()
+	cfg.K = 16
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		topo.NewFatTree(cfg)
 	}
 }

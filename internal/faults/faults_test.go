@@ -159,8 +159,8 @@ func flapNet(t *testing.T) (*netsim.Network, *netsim.Host, *netsim.Host, *netsim
 	q := func() netsim.Queue { return netsim.NewDropTail(1024) }
 	n.Connect(a, sw, 10*sim.Gbps, sim.Microsecond, q(), q())
 	n.Connect(b, sw, 10*sim.Gbps, sim.Microsecond, q(), q())
-	sw.AddRoute(a.ID(), sw.Ports()[0])
-	sw.AddRoute(b.ID(), sw.Ports()[1])
+	sw.SetRoutes(a.ID(), []*netsim.Port{sw.Ports()[0]})
+	sw.SetRoutes(b.ID(), []*netsim.Port{sw.Ports()[1]})
 	return n, a, b, sw
 }
 

@@ -7,7 +7,8 @@
 package homa
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"amrt/internal/netsim"
 	"amrt/internal/sim"
@@ -66,6 +67,8 @@ type Protocol struct {
 	senders   map[netsim.FlowID]*sender
 	receivers map[netsim.FlowID]*rcvFlow
 	byHost    map[netsim.NodeID][]*rcvFlow
+	// active is regrant's scratch buffer, reused across calls.
+	active []*rcvFlow
 
 	// GrantsSent counts grant packets; GrantedPkts counts packets
 	// authorized by them.
@@ -230,20 +233,23 @@ func (p *Protocol) rcvFor(pkt *netsim.Packet) *rcvFlow {
 
 // regrant runs the overcommitment scheduler for one receiving host: the
 // Degree messages with the least remaining bytes each keep one BDP of
-// granted-but-undelivered data.
+// granted-but-undelivered data. It sorts in p.active, which is safe
+// because nothing it calls re-enters it: dst.Send only queues the grant
+// on the NIC, and the grant reaches its sender in a later event.
 func (p *Protocol) regrant(dst *netsim.Host) {
-	flows := p.byHost[dst.ID()]
-	active := flows[:0:0]
-	for _, r := range flows {
+	active := p.active[:0]
+	for _, r := range p.byHost[dst.ID()] {
 		if !r.f.Done {
 			active = append(active, r)
 		}
 	}
-	sort.Slice(active, func(i, j int) bool {
-		if a, b := active[i].remaining(), active[j].remaining(); a != b {
-			return a < b
+	// (remaining, flow ID) is a total order, so the result does not
+	// depend on the sort algorithm.
+	slices.SortFunc(active, func(a, b *rcvFlow) int {
+		if c := cmp.Compare(a.remaining(), b.remaining()); c != 0 {
+			return c
 		}
-		return active[i].f.ID < active[j].f.ID
+		return cmp.Compare(a.f.ID, b.f.ID)
 	})
 	bdp := int32(p.BDPPkts(dst.LinkRate()))
 	for i := 0; i < len(active) && i < p.cfg.Degree; i++ {
@@ -261,6 +267,8 @@ func (p *Protocol) regrant(dst *netsim.Host) {
 			dst.Send(g)
 		}
 	}
+	clear(active)
+	p.active = active[:0]
 }
 
 func (p *Protocol) armTimeout(r *rcvFlow) {

@@ -78,11 +78,10 @@ func ecmpPairNet(t *testing.T) (n *Network, a, b *Host, up1, up2 *Port) {
 	d1, _ := n.Connect(core1, leaf2, rate, delay, q(), q())
 	d2, _ := n.Connect(core2, leaf2, rate, delay, q(), q())
 	down, _ := n.Connect(leaf2, b, rate, delay, q(), q())
-	leaf.AddRoute(b.ID(), up1)
-	leaf.AddRoute(b.ID(), up2)
-	core1.AddRoute(b.ID(), d1)
-	core2.AddRoute(b.ID(), d2)
-	leaf2.AddRoute(b.ID(), down)
+	leaf.SetRoutes(b.ID(), []*Port{up1, up2})
+	core1.SetRoutes(b.ID(), []*Port{d1})
+	core2.SetRoutes(b.ID(), []*Port{d2})
+	leaf2.SetRoutes(b.ID(), []*Port{down})
 	return n, a, b, up1, up2
 }
 

@@ -137,8 +137,8 @@ func TestMarkerANDAcrossHops(t *testing.T) {
 	p12, _ := n.Connect(s1, s2, rate, 0, q(), q())
 	n.Connect(c, s2, rate, 0, q(), q())
 	p2b, _ := n.Connect(s2, b, rate, 0, q(), q())
-	s1.AddRoute(b.ID(), p12)
-	s2.AddRoute(b.ID(), p2b)
+	s1.SetRoutes(b.ID(), []*Port{p12})
+	s2.SetRoutes(b.ID(), []*Port{p2b})
 	m1 := NewAntiECNMarker()
 	m2 := NewAntiECNMarker()
 	p12.Marker = m1

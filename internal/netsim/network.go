@@ -254,7 +254,7 @@ func (n *Network) NewHost(name string) *Host {
 
 // NewSwitch adds a switch.
 func (n *Network) NewSwitch(name string) *Switch {
-	s := &Switch{id: n.nextID, name: name, net: n, shard: n.shards[0], routes: make(map[NodeID][]*Port)}
+	s := &Switch{id: n.nextID, name: name, net: n, shard: n.shards[0]}
 	n.nextID++
 	n.switches = append(n.switches, s)
 	return s
@@ -262,6 +262,11 @@ func (n *Network) NewSwitch(name string) *Switch {
 
 // Hosts returns all hosts in creation order.
 func (n *Network) Hosts() []*Host { return n.hosts }
+
+// NumNodes returns the number of hosts and switches created so far.
+// NodeIDs are allocated consecutively from zero, so every node's ID is
+// below it and it sizes NodeID-indexed tables.
+func (n *Network) NumNodes() int { return int(n.nextID) }
 
 // Switches returns all switches in creation order.
 func (n *Network) Switches() []*Switch { return n.switches }

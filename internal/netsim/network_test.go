@@ -19,8 +19,8 @@ func pair(t *testing.T, rate sim.Rate, delay sim.Time, qf QueueFactory) (*Networ
 	n.Connect(a, sw, rate, delay, qf(), qf())
 	n.Connect(b, sw, rate, delay, qf(), qf())
 	// Switch port 0 goes to A (created by first Connect), port 1 to B.
-	sw.AddRoute(a.ID(), sw.Ports()[0])
-	sw.AddRoute(b.ID(), sw.Ports()[1])
+	sw.SetRoutes(a.ID(), []*Port{sw.Ports()[0]})
+	sw.SetRoutes(b.ID(), []*Port{sw.Ports()[1]})
 	return n, a, b, sw
 }
 
@@ -167,11 +167,10 @@ func TestECMPDeterministicPerFlow(t *testing.T) {
 	d1, _ := n.Connect(core1, leaf2, rate, delay, q(), q())
 	d2, _ := n.Connect(core2, leaf2, rate, delay, q(), q())
 	down, _ := n.Connect(leaf2, b, rate, delay, q(), q())
-	leaf.AddRoute(b.ID(), up1)
-	leaf.AddRoute(b.ID(), up2)
-	core1.AddRoute(b.ID(), d1)
-	core2.AddRoute(b.ID(), d2)
-	leaf2.AddRoute(b.ID(), down)
+	leaf.SetRoutes(b.ID(), []*Port{up1, up2})
+	core1.SetRoutes(b.ID(), []*Port{d1})
+	core2.SetRoutes(b.ID(), []*Port{d2})
+	leaf2.SetRoutes(b.ID(), []*Port{down})
 
 	got := 0
 	b.Handler = func(pkt *Packet) { got++ }

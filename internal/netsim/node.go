@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"amrt/internal/sim"
 )
@@ -81,15 +82,23 @@ func (h *Host) Receive(pkt *Packet) {
 // Switch forwards packets toward destination hosts using per-destination
 // next-hop sets; when several equal-cost ports exist, one is chosen by a
 // deterministic ECMP hash of the flow ID so each flow follows one path.
+//
+// The route table is dense: NodeIDs are allocated consecutively, so
+// route[dst] is an index into sets, the switch's short list of distinct
+// equal-cost sets. Most destinations share a set (every host behind
+// the same uplinks does), so a fabric-sized table costs four bytes per
+// node plus a handful of port slices. sets[0] is the empty set, which
+// makes the zero index mean "no route".
 type Switch struct {
 	id   NodeID
 	name string
 	net  *Network
 	// shard is the engine shard this switch runs on (see
 	// Network.Partition); always shard 0 on an unpartitioned network.
-	shard  *Shard
-	ports  []*Port
-	routes map[NodeID][]*Port
+	shard *Shard
+	ports []*Port
+	route []int32
+	sets  [][]*Port
 }
 
 // ID implements Node.
@@ -105,13 +114,56 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // whose goroutine owns the switch, its ports, and its queues.
 func (s *Switch) Shard() *Shard { return s.shard }
 
-// AddRoute registers an equal-cost egress port for a destination host.
-func (s *Switch) AddRoute(dst NodeID, p *Port) {
-	s.routes[dst] = append(s.routes[dst], p)
+// SetRoutes installs ports as the equal-cost egress set for destination
+// host dst, replacing any earlier set. Order matters: ECMP picks
+// ports[hash % len(ports)], so the same ports in another order route
+// flows differently. Sets are interned per switch: a set equal, port
+// for port, to one the switch already holds shares it, and a new set
+// is copied, so the caller may reuse ports as scratch. An empty set
+// removes the route.
+func (s *Switch) SetRoutes(dst NodeID, ports []*Port) {
+	if len(s.sets) == 0 {
+		s.sets = [][]*Port{nil}
+	}
+	idx := 0
+	if len(ports) > 0 {
+		for i, set := range s.sets {
+			if slices.Equal(set, ports) {
+				idx = i
+				break
+			}
+		}
+		if idx == 0 {
+			idx = len(s.sets)
+			s.sets = append(s.sets, slices.Clone(ports))
+		}
+	}
+	if int(dst) >= len(s.route) {
+		route := make([]int32, max(s.net.NumNodes(), int(dst)+1))
+		copy(route, s.route)
+		s.route = route
+	}
+	s.route[dst] = int32(idx)
 }
 
-// Routes returns the candidate egress ports for a destination.
-func (s *Switch) Routes(dst NodeID) []*Port { return s.routes[dst] }
+// AddRoute appends one egress port to dst's equal-cost set. Fabric
+// builders install whole sets with SetRoutes; the repository
+// benchmark's hop probe (benchmark/layers.go) wires its switch with
+// AddRoute.
+func (s *Switch) AddRoute(dst NodeID, p *Port) {
+	cur := s.Routes(dst)
+	s.SetRoutes(dst, append(cur[:len(cur):len(cur)], p))
+}
+
+// Routes returns the candidate egress ports for a destination, or nil
+// when the switch has no route to it. The slice is shared with other
+// destinations and with every shard: treat it as read-only.
+func (s *Switch) Routes(dst NodeID) []*Port {
+	if uint(dst) >= uint(len(s.route)) {
+		return nil
+	}
+	return s.sets[s.route[dst]]
+}
 
 // Receive implements Node: ECMP-forward toward the packet destination,
 // failing over to the surviving equal-cost routes when some are
@@ -120,7 +172,7 @@ func (s *Switch) Routes(dst NodeID) []*Port { return s.routes[dst] }
 // recovers; with no live route at all the packet is dropped (and
 // counted in Network.NoRouteDrops).
 func (s *Switch) Receive(pkt *Packet) {
-	cands := s.routes[pkt.Dst]
+	cands := s.Routes(pkt.Dst)
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("netsim: switch %s has no route to host %d (packet %v)", s.name, pkt.Dst, pkt))
 	}

@@ -17,70 +17,116 @@ func forEachScheduler(t *testing.T, fn func(t *testing.T, e *Engine)) {
 }
 
 // TestSchedulerEquivalence is the engine-level proof behind the
-// timing-wheel migration: a randomized storm of nested schedules and
-// cancellations — delays spanning the due heap, every wheel level, the
-// top-region boundary, and the overflow heap — must dispatch in exactly
-// the same (time, identity) sequence on both schedulers.
+// timing-wheel migration: randomized storms of nested schedules and
+// cancellations must dispatch in exactly the same (time, identity)
+// sequence on both schedulers. The "storm" case spreads delays over the
+// due run, every wheel level, the top-region boundary, and the overflow
+// heap; the "same-tick" case packs events into a few 64 ns ticks, so
+// most schedules land in the due run while its tick is dispatching,
+// and stops at horizons inside a tick with fresh same-tick schedules
+// waiting when the run resumes.
 func TestSchedulerEquivalence(t *testing.T) {
 	type step struct {
 		at Time
 		id int
 	}
-	run := func(kind SchedulerKind, seed int64) []step {
-		e := NewEngineWith(kind)
-		rng := rand.New(rand.NewSource(seed))
-		var trace []step
-		var timers []Timer
-		id := 0
-		var spawn func()
-		spawn = func() {
-			myID := id
-			id++
-			trace = append(trace, step{e.Now(), myID})
-			if myID > 4000 {
-				return
-			}
-			for i := 0; i < 1+rng.Intn(3); i++ {
-				var d Time
+	cases := []struct {
+		name  string
+		delay func(rng *rand.Rand) Time
+		drive func(e *Engine, spawn func(), rng *rand.Rand)
+	}{
+		{
+			name: "storm",
+			delay: func(rng *rand.Rand) Time {
 				switch rng.Intn(6) {
 				case 0:
-					d = 0 // current instant, mid-dispatch
+					return 0 // current instant, mid-dispatch
 				case 1:
-					d = Time(rng.Intn(64)) // same or adjacent tick
+					return Time(rng.Intn(64)) // same or adjacent tick
 				case 2:
-					d = Time(rng.Intn(1 << 14)) // level 0/1
+					return Time(rng.Intn(1 << 14)) // level 0/1
 				case 3:
-					d = Time(rng.Intn(1 << 22)) // level 1/2
+					return Time(rng.Intn(1 << 22)) // level 1/2
 				case 4:
-					d = Time(rng.Intn(1 << 31)) // level 2 and region crossing
-				case 5:
-					d = Time(rng.Intn(1 << 33)) // deep overflow (> 1.07 s span)
+					return Time(rng.Intn(1 << 31)) // level 2 and region crossing
+				default:
+					return Time(rng.Intn(1 << 33)) // deep overflow (> 1.07 s span)
 				}
-				timers = append(timers, e.Schedule(d, spawn))
-			}
-			if len(timers) > 0 && rng.Intn(3) == 0 {
-				timers[rng.Intn(len(timers))].Cancel()
-			}
-		}
-		e.Schedule(0, spawn)
-		// Interleave bounded horizons with full drains so the horizon
-		// clamp path is exercised too.
-		e.Run(Millisecond)
-		e.Run(20 * Millisecond)
-		e.RunAll()
-		return trace
+			},
+			drive: func(e *Engine, spawn func(), _ *rand.Rand) {
+				e.Schedule(0, spawn)
+				// Interleave bounded horizons with full drains so the
+				// horizon clamp path is exercised too.
+				e.Run(Millisecond)
+				e.Run(20 * Millisecond)
+			},
+		},
+		{
+			name: "same-tick",
+			delay: func(rng *rand.Rand) Time {
+				switch rng.Intn(4) {
+				case 0:
+					return 0
+				case 1:
+					return Time(rng.Intn(8))
+				case 2:
+					return Time(rng.Intn(64))
+				default:
+					return Time(rng.Intn(512))
+				}
+			},
+			drive: func(e *Engine, spawn func(), rng *rand.Rand) {
+				for i := 0; i < 64; i++ {
+					e.ScheduleAt(Time(rng.Intn(256)), spawn)
+				}
+				for until := Time(37); until < 40000; until += 97 {
+					e.Run(until)
+					e.Schedule(0, spawn)
+					e.Schedule(Time(rng.Intn(64)), spawn)
+				}
+			},
+		},
 	}
-	for seed := int64(1); seed <= 5; seed++ {
-		wheel := run(SchedulerWheel, seed)
-		heap := run(SchedulerHeap, seed)
-		if len(wheel) != len(heap) {
-			t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(wheel), len(heap))
-		}
-		for i := range wheel {
-			if wheel[i] != heap[i] {
-				t.Fatalf("seed %d: dispatch %d diverges: wheel %+v, heap %+v", seed, i, wheel[i], heap[i])
+	for _, c := range cases {
+		run := func(kind SchedulerKind, seed int64) []step {
+			e := NewEngineWith(kind)
+			rng := rand.New(rand.NewSource(seed))
+			var trace []step
+			var timers []Timer
+			id := 0
+			var spawn func()
+			spawn = func() {
+				myID := id
+				id++
+				trace = append(trace, step{e.Now(), myID})
+				if myID > 4000 {
+					return
+				}
+				for i := 0; i < 1+rng.Intn(3); i++ {
+					timers = append(timers, e.Schedule(c.delay(rng), spawn))
+				}
+				if len(timers) > 0 && rng.Intn(3) == 0 {
+					timers[rng.Intn(len(timers))].Cancel()
+				}
 			}
+			c.drive(e, spawn, rng)
+			e.RunAll()
+			return trace
 		}
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 5; seed++ {
+				wheel := run(SchedulerWheel, seed)
+				heap := run(SchedulerHeap, seed)
+				if len(wheel) != len(heap) {
+					t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(wheel), len(heap))
+				}
+				for i := range wheel {
+					if wheel[i] != heap[i] {
+						t.Fatalf("seed %d: dispatch %d diverges: wheel %+v, heap %+v", seed, i, wheel[i], heap[i])
+					}
+				}
+			}
+		})
 	}
 }
 

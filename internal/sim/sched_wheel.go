@@ -18,20 +18,25 @@ import "math/bits"
 //
 // Determinism contract: dispatch order is exactly ascending (at, seq) —
 // byte-identical to heapSched. Buckets are unordered; ordering is
-// restored by pouring the current tick's bucket into a small (at, seq)
-// min-heap ("due") before dispatch, and events scheduled for the
-// current tick while it is dispatching join that heap directly. Because
-// level-0 buckets are a single tick wide and seq is globally monotonic,
-// no coarser bucket can ever mix two events across a time boundary
-// without the due heap re-separating them.
+// restored by turning the current tick's bucket into the "due" run and
+// insertion-sorting it on (at, seq) before dispatch, and events
+// scheduled for the current tick while it is dispatching are inserted
+// into the run in order. Because level-0 buckets are a single tick wide
+// and seq is globally monotonic, no coarser bucket can ever mix two
+// events across a time boundary without the sort re-separating them. A
+// tick holds a handful of events, mostly already in seq order, so the
+// insertion sort costs little more than a copy.
 type wheelSched struct {
 	// curTick is the wheel cursor: floor(dispatch position / 64 ns).
 	// Invariants: curTick never exceeds the tick of the earliest pending
 	// event, and every pending event's tick is >= curTick.
 	curTick int64
 
-	// due holds the events of tick curTick, as a min-heap on (at, seq).
-	due []*event
+	// due[dueHead:] holds the undispatched events of tick curTick,
+	// sorted by (at, seq); due[:dueHead] is dispatched and nil. Both
+	// reset to empty when the run is used up.
+	due     []*event
+	dueHead int
 
 	// levels[l][s] is the bucket for slot s of level l; occ[l] is the
 	// per-slot occupancy bitmap of level l.
@@ -41,6 +46,12 @@ type wheelSched struct {
 	// overflow is the far-future fallback: a min-heap on (at, seq) of
 	// events beyond curTick's top-level region at insert time.
 	overflow []*event
+
+	// spare holds the emptied, zero-length backing arrays of cascaded
+	// level-1 and level-2 buckets; place reuses them for buckets that
+	// have none, so bucket capacity follows the live load instead of
+	// every slot keeping its own peak.
+	spare [][]*event
 
 	count int
 }
@@ -83,7 +94,7 @@ func (w *wheelSched) insert(ev *event) {
 	case tick <= cur:
 		// Current tick (the engine guarantees at >= now, so tick is
 		// never truly below the cursor — only equal).
-		evheapPush(&w.due, ev)
+		w.insertDue(ev)
 	case tick>>wheelBits == cur>>wheelBits:
 		w.place(0, int(tick)&wheelMask, ev)
 	case tick>>(2*wheelBits) == cur>>(2*wheelBits):
@@ -96,12 +107,36 @@ func (w *wheelSched) insert(ev *event) {
 }
 
 func (w *wheelSched) place(level, slot int, ev *event) {
-	w.levels[level][slot] = append(w.levels[level][slot], ev)
+	b := w.levels[level][slot]
+	if b == nil && len(w.spare) > 0 {
+		b = w.spare[len(w.spare)-1]
+		w.spare[len(w.spare)-1] = nil
+		w.spare = w.spare[:len(w.spare)-1]
+	}
+	w.levels[level][slot] = append(b, ev)
 	w.occ[level][slot>>6] |= 1 << uint(slot&63)
 }
 
+// insertDue adds ev to the due run at its (at, seq) position. Events
+// arriving mid-tick carry the newest seq, so the backward scan usually
+// stops at once.
+func (w *wheelSched) insertDue(ev *event) {
+	if w.dueHead > 0 && len(w.due) == cap(w.due) {
+		// Reclaim the dispatched prefix before growing the array.
+		n := copy(w.due, w.due[w.dueHead:])
+		clear(w.due[n:])
+		w.due, w.dueHead = w.due[:n], 0
+	}
+	w.due = append(w.due, ev)
+	i := len(w.due) - 1
+	for ; i > w.dueHead && eventBefore(ev, w.due[i-1]); i-- {
+		w.due[i] = w.due[i-1]
+	}
+	w.due[i] = ev
+}
+
 // nextAt implements scheduler: a lower bound on the earliest pending
-// event's time. The due and overflow heaps give exact times; wheel
+// event's time. The due run and the overflow heap give exact times; wheel
 // buckets contribute their slot's start time, which undershoots by at
 // most the slot span. Levels need only be consulted until the first
 // occupied one, since every event in level l+1 lies beyond level l's
@@ -111,8 +146,8 @@ func (w *wheelSched) nextAt() (Time, bool) {
 	if w.count == 0 {
 		return 0, false
 	}
-	if len(w.due) > 0 {
-		return w.due[0].at, true
+	if w.dueHead < len(w.due) {
+		return w.due[w.dueHead].at, true
 	}
 	bound := Time(0)
 	have := false
@@ -145,12 +180,17 @@ func (w *wheelSched) nextAt() (Time, bool) {
 func (w *wheelSched) next(limit Time) *event {
 	limitTick := int64(limit) >> wheelTickShift
 	for {
-		if len(w.due) > 0 {
-			if w.due[0].at > limit {
+		if w.dueHead < len(w.due) {
+			ev := w.due[w.dueHead]
+			if ev.at > limit {
 				return nil
 			}
+			w.due[w.dueHead] = nil
+			if w.dueHead++; w.dueHead == len(w.due) {
+				w.due, w.dueHead = w.due[:0], 0
+			}
 			w.count--
-			return evheapPop(&w.due)
+			return ev
 		}
 		if w.count == 0 {
 			return nil
@@ -219,28 +259,36 @@ func (w *wheelSched) clamp(limitTick int64) {
 	}
 }
 
-// dumpDue pours level-0 slot s (the bucket of tick curTick) into the
-// due heap, restoring exact (at, seq) order for dispatch.
+// dumpDue makes level-0 slot s (the bucket of tick curTick) the due
+// run, restoring exact (at, seq) order for dispatch. The due run is
+// empty here, so the bucket and the run just swap backing arrays.
 func (w *wheelSched) dumpDue(s int) {
-	bucket := w.levels[0][s]
-	for i, ev := range bucket {
-		bucket[i] = nil
-		evheapPush(&w.due, ev)
-	}
-	w.levels[0][s] = bucket[:0]
+	due := w.levels[0][s]
+	w.levels[0][s] = w.due[:0]
 	w.occ[0][s>>6] &^= 1 << uint(s&63)
+	for i := 1; i < len(due); i++ {
+		ev := due[i]
+		j := i
+		for ; j > 0 && eventBefore(ev, due[j-1]); j-- {
+			due[j] = due[j-1]
+		}
+		due[j] = ev
+	}
+	w.due, w.dueHead = due, 0
 }
 
 // cascade redistributes the bucket at (level, s) — whose span the cursor
-// has just reached — into the levels below it (or the due heap).
+// has just reached — into the levels below it (or the due run), and
+// returns the bucket's array to the spare list.
 func (w *wheelSched) cascade(level, s int) {
 	bucket := w.levels[level][s]
-	w.levels[level][s] = bucket[:0]
+	w.levels[level][s] = nil
 	w.occ[level][s>>6] &^= 1 << uint(s&63)
 	for i, ev := range bucket {
 		bucket[i] = nil
 		w.insert(ev)
 	}
+	w.spare = append(w.spare, bucket[:0])
 }
 
 // drainOverflow migrates overflow events that now fall within the
@@ -276,7 +324,7 @@ func (w *wheelSched) nextOcc(level, from int) (int, bool) {
 }
 
 // evheapPush and evheapPop maintain a binary min-heap of events ordered
-// by eventBefore, shared by the wheel's due/overflow heaps.
+// by eventBefore: the heap scheduler and the wheel's overflow heap.
 func evheapPush(h *[]*event, ev *event) {
 	items := append(*h, ev)
 	i := len(items) - 1

@@ -10,62 +10,72 @@ import (
 )
 
 // InstallShortestPathRoutes computes, for every (switch, destination
-// host) pair, the set of egress ports on shortest paths and registers
-// them as equal-cost routes. It must be called after all links exist.
+// host) pair, the set of egress ports on shortest paths and installs it
+// as the switch's equal-cost route to that host. Each set lists the
+// switch's ports in creation order. It must be called after all links
+// exist.
 //
 // The computation is a reverse BFS from each host, so it works for any
 // topology the builders in this package produce (and any custom one),
-// with all-equal link weights.
+// with all-equal link weights. Everything is indexed by NodeID: one
+// distance array and one queue serve every destination, and one scratch
+// buffer collects each candidate set, which netsim.Switch.SetRoutes
+// interns, so the hosts behind the same uplinks share one slice.
 func InstallShortestPathRoutes(n *netsim.Network) {
-	// Forward adjacency: for each node, its egress ports.
-	type edge struct {
-		owner netsim.Node
-		port  *netsim.Port
-	}
-	incoming := make(map[netsim.NodeID][]edge)
-	addPorts := func(owner netsim.Node, ports []*netsim.Port) {
-		for _, p := range ports {
-			to := p.Link().To
-			incoming[to.ID()] = append(incoming[to.ID()], edge{owner: owner, port: p})
+	// in[v] lists the owners of the ports leading to node v, once per
+	// port; next[i][j] is the far end of switch i's port j.
+	in := make([][]netsim.NodeID, n.NumNodes())
+	next := make([][]netsim.NodeID, len(n.Switches()))
+	for i, s := range n.Switches() {
+		next[i] = make([]netsim.NodeID, 0, len(s.Ports()))
+		for _, p := range s.Ports() {
+			to := p.Link().To.ID()
+			in[to] = append(in[to], s.ID())
+			next[i] = append(next[i], to)
 		}
 	}
-	for _, s := range n.Switches() {
-		addPorts(s, s.Ports())
-	}
 	for _, h := range n.Hosts() {
-		if h.NIC() != nil {
-			addPorts(h, []*netsim.Port{h.NIC()})
+		if p := h.NIC(); p != nil {
+			to := p.Link().To.ID()
+			in[to] = append(in[to], h.ID())
 		}
 	}
 
+	dist := make([]int32, n.NumNodes())
+	queue := make([]netsim.NodeID, 0, n.NumNodes())
+	var cands []*netsim.Port
 	for _, dst := range n.Hosts() {
 		if dst.NIC() == nil {
 			continue
 		}
-		// BFS over reverse edges from the destination host.
-		dist := map[netsim.NodeID]int{dst.ID(): 0}
-		queue := []netsim.NodeID{dst.ID()}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range incoming[cur] {
-				id := e.owner.ID()
-				if _, seen := dist[id]; !seen {
+		// BFS over reverse edges from the destination host; -1 marks a
+		// node that cannot reach it.
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[dst.ID()] = 0
+		queue = append(queue[:0], dst.ID())
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			for _, id := range in[cur] {
+				if dist[id] < 0 {
 					dist[id] = dist[cur] + 1
 					queue = append(queue, id)
 				}
 			}
 		}
-		for _, s := range n.Switches() {
-			d, ok := dist[s.ID()]
-			if !ok {
+		for i, s := range n.Switches() {
+			d := dist[s.ID()]
+			if d <= 0 {
 				continue // switch cannot reach dst
 			}
-			for _, p := range s.Ports() {
-				if nd, ok := dist[p.Link().To.ID()]; ok && nd == d-1 {
-					s.AddRoute(dst.ID(), p)
+			cands = cands[:0]
+			for j, to := range next[i] {
+				if dist[to] == d-1 {
+					cands = append(cands, s.Ports()[j])
 				}
 			}
+			s.SetRoutes(dst.ID(), cands)
 		}
 	}
 }

@@ -68,8 +68,8 @@ func newLinkedHosts() (*netsim.Network, *netsim.Host, *netsim.Host) {
 	sw := n.NewSwitch("s")
 	n.Connect(a, sw, 10*sim.Gbps, sim.Microsecond, nil, nil)
 	n.Connect(b, sw, 10*sim.Gbps, sim.Microsecond, nil, nil)
-	sw.AddRoute(a.ID(), sw.Ports()[0])
-	sw.AddRoute(b.ID(), sw.Ports()[1])
+	sw.SetRoutes(a.ID(), []*netsim.Port{sw.Ports()[0]})
+	sw.SetRoutes(b.ID(), []*netsim.Port{sw.Ports()[1]})
 	return n, a, b
 }
 

@@ -173,8 +173,8 @@ func newKernelHosts() (*netsim.Network, *netsim.Host, *netsim.Host) {
 	sw := n.NewSwitch("s")
 	n.Connect(a, sw, 10*sim.Gbps, 0, nil, nil)
 	n.Connect(b, sw, 10*sim.Gbps, 0, nil, nil)
-	sw.AddRoute(a.ID(), sw.Ports()[0])
-	sw.AddRoute(b.ID(), sw.Ports()[1])
+	sw.SetRoutes(a.ID(), []*netsim.Port{sw.Ports()[0]})
+	sw.SetRoutes(b.ID(), []*netsim.Port{sw.Ports()[1]})
 	return n, a, b
 }
 
